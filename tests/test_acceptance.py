@@ -4,6 +4,7 @@ The scenario experiments (criteria 1, 2, 8) run the full default desk-scale
 configuration: 3 consumers, 24 owners, 4 classes of interest, 50 rounds.
 They are the slow part of the suite; run with ``pytest tests/test_acceptance.py -v -s``.
 """
+import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -183,6 +184,15 @@ def test_criterion_7_fedavg_identity():
     )
 
 
+# SHA-256 of the default seed-7 output files. A change that moves any output
+# bit must re-baseline these and record why in CHANGES.md.
+DEFAULT_SEED7_GOLDEN = {
+    "accuracy.csv": "53e0147f0986f0937996b30dfc864169ac699f07775ba4dffb352fab4a1490e3",
+    "alliances.json": "c9be3b52a88b2dce5b2ee4b378d92a8ef2eaae8df4c77f8d98ec89fe7163df73",
+    "summary.json": "e3a66163b7fa7f8e6aea5f7741c705a73351d111c582d07f1a26ef620688e323",
+}
+
+
 def _cli_run_default(out_dir):
     rc = cli_main(["run", "--config", "default", "--seed", "7", "--out", out_dir])
     if rc != 0:
@@ -200,13 +210,19 @@ def test_criterion_8_determinism_byte_identical(tmp_path):
         a = (tmp_path / "run1" / name).read_bytes()
         b = (tmp_path / "run2" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+        assert hashlib.sha256(a).hexdigest() == DEFAULT_SEED7_GOLDEN[name], (
+            f"{name} differs from the pinned seed-7 output"
+        )
     # the default fedcdc run forms exactly the triple alliance at round 10
     records = json.loads((tmp_path / "run1" / "alliances.json").read_text())
     assert len(records) == 1
     assert records[0]["participants"] == [0, 1, 2]
     assert records[0]["created_round"] == 10
     assert records[0]["value"] == 36
-    print("PASS criterion 8: two default seed-7 runs produced byte-identical metrics files")
+    print(
+        "PASS criterion 8: two default seed-7 runs produced byte-identical metrics files "
+        "matching the pinned digests"
+    )
 
 
 def test_criterion_9_knowledge_transfer():

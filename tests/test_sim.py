@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,30 @@ def test_emit_byte_identical_across_runs(tmp_path):
     emit_metrics(run_scenario(tiny_cfg("fedcdc")), out2)
     for name in ("accuracy.csv", "alliances.json", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# SHA-256 of the three output files of the tiny scenarios. They pin the
+# numbers, not only run-to-run determinism: a change that moves any output
+# bit must re-baseline these and say why in CHANGES.md.
+TINY_GOLDEN = {
+    "restricted": {
+        "accuracy.csv": "a8b33a881afdb09e0c60e20f0ae61abb8a0c658bd94393359a8a4ce2a93261b9",
+        "alliances.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "summary.json": "f26e4d5530aa7ff53923cc0f40618e8940ae45a22ca9c593a72dca4d1bc37664",
+    },
+    "fedcdc": {
+        "accuracy.csv": "e9984e8a34a6e000fa202f989af974eb7f342896d1855b3eb48b79d0a10c224c",
+        "alliances.json": "ac3a4952d49aff7935d54dee927d9cd884f6359054997f7fb0b4c6e02fc2add0",
+        "summary.json": "2a5b6c09ff93e6d0b3d584ef1d6cf9f6c75cab5a04f9fae23adc20377e311386",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY_GOLDEN))
+def test_emit_matches_golden_digests(tmp_path, scenario):
+    paths = emit_metrics(run_scenario(tiny_cfg(scenario)), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == TINY_GOLDEN[scenario]
 
 
 def test_summary_contents(tmp_path):
