@@ -16,7 +16,7 @@ from .distill import (
     _softmax_dense,
 )
 from .market import DataConsumer, DataOwner
-from .nn import Mlp, clone_model, forward, init_adam, train_step
+from .nn import Mlp, clone_model, forward, init_adam, replicate, train_step, unstack
 
 log = logging.getLogger(__name__)
 
@@ -51,10 +51,7 @@ def fedavg_aggregate(local_models: list[tuple[Mlp, int]]) -> Mlp:
     if total <= 0:
         raise ValueError("shard sizes must sum to a positive number")
     out = clone_model(first)
-    for i in range(len(out.weights)):
-        out.weights[i] = sum((size / total) * m.weights[i] for m, size in local_models)
-    for i in range(len(out.biases)):
-        out.biases[i] = sum((size / total) * m.biases[i] for m, size in local_models)
+    out.flat[...] = sum((size / total) * m.flat for m, size in local_models)
     return out
 
 
@@ -67,15 +64,38 @@ def local_train(
     rng: np.random.Generator,
 ) -> Mlp:
     """Train a fresh copy of ``model`` on one owner's shard."""
-    local = clone_model(model)
-    opt = init_adam(local.parameters(), lr=lr)
-    n = len(shard)
+    return lockstep_train(model, [shard], epochs, batch_size, lr, [rng])[0]
+
+
+def lockstep_train(
+    model: Mlp,
+    shards: list[LabeledDataset],
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    rngs: list[np.random.Generator],
+) -> list[Mlp]:
+    """Train one fresh copy of ``model`` per shard, all copies in lockstep.
+
+    The shards must be of one size. The copies form one stack, so each batch
+    is one :func:`train_step` over all of them. Copy i draws its per-epoch
+    permutation from ``rngs[i]``, so its batches, and its parameters bit for
+    bit, are those of training it alone.
+    """
+    n = len(shards[0])
+    if any(len(s) != n for s in shards):
+        raise ValueError("lockstep training needs shards of one size")
+    stack = replicate(model, len(shards))
+    opt = init_adam(stack.parameters(), lr=lr)
+    features = np.stack([s.features for s in shards])
+    labels = np.stack([s.labels for s in shards])
+    rows = np.arange(len(shards))[:, None]
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch_size):
-            sel = order[start : start + batch_size]
-            train_step(local, opt, shard.features[sel], shard.labels[sel])
-    return local
+            sel = order[:, start : start + batch_size]
+            train_step(stack, opt, features[rows, sel], labels[rows, sel])
+    return unstack(stack)
 
 
 def feddf_round(
@@ -131,7 +151,10 @@ def run_fl_round(
     public: UnlabeledDataset | None = None,
     model: Mlp | None = None,
 ) -> Mlp:
-    """One FL round: broadcast, local training per owner, aggregate.
+    """One FL round: broadcast, local training on every owner, aggregate.
+
+    Owners with equal shard sizes train in lockstep (:func:`lockstep_train`);
+    the trained models are aggregated in owner-id order.
 
     Trains ``model`` (default: the consumer's global model). An empty owner
     list is a starvation event: logged, model returned unchanged.
@@ -142,12 +165,21 @@ def run_fl_round(
         return start
     ordered = sorted(owners, key=lambda o: o.id)
     child_rngs = rng.spawn(len(ordered))
-    trained: list[tuple[Mlp, int]] = []
-    for owner, orng in zip(ordered, child_rngs):
-        local = local_train(
-            start, owner.train_shard, cfg.local_epochs, cfg.batch_size, cfg.lr, orng
+    by_size: dict[int, list[int]] = {}
+    for k, owner in enumerate(ordered):
+        by_size.setdefault(len(owner.train_shard), []).append(k)
+    local: dict[int, Mlp] = {}
+    for group in by_size.values():
+        models = lockstep_train(
+            start,
+            [ordered[k].train_shard for k in group],
+            cfg.local_epochs,
+            cfg.batch_size,
+            cfg.lr,
+            [child_rngs[k] for k in group],
         )
-        trained.append((local, len(owner.train_shard)))
+        local.update(zip(group, models))
+    trained = [(local[k], len(o.train_shard)) for k, o in enumerate(ordered)]
     if cfg.method == "feddf":
         if public is None:
             raise ValueError("feddf aggregation needs the public set")

@@ -8,7 +8,8 @@ the model actually serves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,20 @@ class Mlp:
     ``dims`` is ``[input_dim, hidden..., K]``. ``active_labels`` is the set of
     output positions this model serves; :func:`forward` forces all other
     positions to ``MASK_SENTINEL`` and they carry exactly zero probability.
+
+    The constructor copies ``weights`` and ``biases`` into one contiguous
+    buffer, ``flat``, and keeps per-layer views into it. Layer ``i`` has
+    shape ``(*lead, d_in, d_out)`` and ``(*lead, d_out)``. An empty ``lead``
+    is one model; ``lead = (M,)`` is a stack of M models of one architecture
+    and one active set, which the forward, backward and Adam kernels here
+    step all at once.
     """
 
     dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     active_labels: frozenset[int]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2:
@@ -44,18 +53,57 @@ class Mlp:
         bad = [c for c in self.active_labels if not 0 <= c < k]
         if bad:
             raise ValueError(f"active labels {sorted(bad)} outside output range [0, {k})")
+        lead = np.shape(self.weights[0])[:-2]
+        self.flat = np.empty((*lead, _param_count(self.dims)))
+        given = [*self.weights, *self.biases]
+        self.weights, self.biases = _layer_views(self.flat, self.dims)
+        for view, src in zip(self.weights + self.biases, given, strict=True):
+            view[...] = src
 
     @property
     def num_classes(self) -> int:
         return self.dims[-1]
 
-    @property
+    # active_labels is never reassigned, so each index is computed once, on first use.
+    @cached_property
     def active_index(self) -> np.ndarray:
-        """Sorted active label ids as an index array."""
-        return np.array(sorted(self.active_labels), dtype=np.intp)
+        """Sorted active label ids as a read-only index array."""
+        return _frozen(np.array(sorted(self.active_labels), dtype=np.intp))
+
+    @cached_property
+    def inactive_index(self) -> np.ndarray:
+        """Sorted ids of the masked output positions, read-only."""
+        return _frozen(np.setdiff1d(np.arange(self.num_classes), self.active_index))
 
     def parameters(self) -> list[np.ndarray]:
-        return list(self.weights) + list(self.biases)
+        """The arrays an optimizer updates: the one flat buffer."""
+        return [self.flat]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _param_count(dims: list[int]) -> int:
+    return sum(d_in * d_out + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a ``(*lead, P)`` buffer.
+
+    Layout: all weight matrices row-major in layer order, then all biases.
+    """
+    lead = flat.shape[:-1]
+    weights, biases = [], []
+    offset = 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[..., offset : offset + d_in * d_out].reshape(*lead, d_in, d_out))
+        offset += d_in * d_out
+    for d_out in dims[1:]:
+        biases.append(flat[..., offset : offset + d_out])
+        offset += d_out
+    return weights, biases
 
 
 def init_mlp(
@@ -76,16 +124,33 @@ def init_mlp(
 
 
 def clone_model(model: Mlp) -> Mlp:
+    return Mlp(list(model.dims), model.weights, model.biases, model.active_labels)
+
+
+def replicate(model: Mlp, copies: int) -> Mlp:
+    """A stack of ``copies`` independent copies of one model."""
     return Mlp(
         list(model.dims),
-        [w.copy() for w in model.weights],
-        [b.copy() for b in model.biases],
+        [np.broadcast_to(w, (copies, *w.shape)) for w in model.weights],
+        [np.broadcast_to(b, (copies, *b.shape)) for b in model.biases],
         model.active_labels,
     )
 
 
+def unstack(stack: Mlp) -> list[Mlp]:
+    """The models of a stack, each copied out into its own buffer."""
+    return [
+        Mlp(list(stack.dims), [w[i] for w in stack.weights], [b[i] for b in stack.biases],
+            stack.active_labels)
+        for i in range(stack.flat.shape[0])
+    ]
+
+
 def forward(model: Mlp, batch: np.ndarray) -> np.ndarray:
-    """Logits for a (batch, input_dim) matrix, masked at inactive positions."""
+    """Logits for a (batch, input_dim) matrix, masked at inactive positions.
+
+    A stack takes ``(M, batch, input_dim)``, one batch per model.
+    """
     logits, _ = _forward_cached(model, batch)
     return logits
 
@@ -93,45 +158,40 @@ def forward(model: Mlp, batch: np.ndarray) -> np.ndarray:
 def _forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass keeping post-activation layer inputs for backprop."""
     x = np.asarray(batch, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.dims[0]:
+    lead = model.flat.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != model.dims[0]:
         raise ValueError(
-            f"batch shape {x.shape} incompatible with model input dim {model.dims[0]}"
+            f"batch shape {x.shape} incompatible with model input dim {model.dims[0]} "
+            f"and model stack shape {lead}"
         )
     acts = [x]
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w + b[..., None, :]
         if i < last:
             h = np.maximum(h, 0.0)
             acts.append(h)
-    inactive = _inactive_index(model)
-    if inactive.size:
-        h[:, inactive] = MASK_SENTINEL
+    if model.inactive_index.size:
+        h[..., model.inactive_index] = MASK_SENTINEL
     return h, acts
 
 
-def _inactive_index(model: Mlp) -> np.ndarray:
-    mask = np.ones(model.num_classes, dtype=bool)
-    mask[model.active_index] = False
-    return np.flatnonzero(mask)
-
-
 def _backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients given dL/dlogits.
+    """Parameter gradients given dL/dlogits, as one buffer shaped like ``model.flat``.
 
     ``dlogits`` must already be zero at inactive columns; the mask is a
     constant substitution, so no gradient flows through those positions.
     """
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
+    grad = np.empty_like(model.flat)
+    grads_w, grads_b = _layer_views(grad, model.dims)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads_w[i])
+        delta.sum(axis=-2, out=grads_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0.0)
-    return grads_w + grads_b
+            delta = (delta @ model.weights[i].swapaxes(-1, -2)) * (acts[i] > 0.0)
+    return [grad]
 
 
 def softmax(logits: np.ndarray, active: frozenset[int] | set[int]) -> np.ndarray:
@@ -152,12 +212,12 @@ def softmax(logits: np.ndarray, active: frozenset[int] | set[int]) -> np.ndarray
 
 
 def softmax_rows(logits: np.ndarray, active_index: np.ndarray) -> np.ndarray:
-    """Row-wise masked softmax for a (batch, K) logit matrix."""
-    za = logits[:, active_index]
-    za = za - za.max(axis=1, keepdims=True)
+    """Row-wise masked softmax for a (..., batch, K) logit array."""
+    za = logits[..., active_index]
+    za = za - za.max(axis=-1, keepdims=True)
     ex = np.exp(za)
     probs = np.zeros_like(logits)
-    probs[:, active_index] = ex / ex.sum(axis=1, keepdims=True)
+    probs[..., active_index] = ex / ex.sum(axis=-1, keepdims=True)
     return probs
 
 
@@ -183,7 +243,7 @@ def kl_div(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus hyperparameters."""
+    """Per-parameter first/second moments, work buffers and hyperparameters."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -192,6 +252,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    buffers: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
 def init_adam(params: list[np.ndarray], lr: float = 0.001) -> AdamState:
@@ -199,48 +260,73 @@ def init_adam(params: list[np.ndarray], lr: float = 0.001) -> AdamState:
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
         lr=lr,
+        buffers=[(np.empty_like(p), np.empty_like(p)) for p in params],
     )
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    Runs in place on the moments and two work buffers per parameter; the
+    operations and their order are those of the textbook update
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are the same bits.
+    """
     if len(grads) != len(params):
         raise ValueError("gradient count does not match parameter count")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for p, g, m, v, (s, d) in zip(
+        params, grads, state.m, state.v, state.buffers, strict=True
+    ):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, 1.0 - b1**t, out=s)
+        s *= state.lr
+        np.divide(v, 1.0 - b2**t, out=d)
+        np.sqrt(d, out=d)
+        d += state.epsilon
+        s /= d
+        p -= s
     return params
 
 
 def cross_entropy_grad(
     model: Mlp, logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the masked softmax and its logit gradient."""
-    idx = model.active_index
-    probs = softmax_rows(logits, idx)
-    n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the masked softmax and its logit gradient.
+
+    For a stack, ``logits`` is ``(M, batch, K)`` and the loss is one value per model.
+    """
+    probs = softmax_rows(logits, model.active_index)
+    k = probs.shape[-1]
+    hit = (np.arange(labels.size), labels.ravel())  # each sample's label, one row per sample
+    picked = probs.reshape(-1, k)[hit].reshape(labels.shape)
+    loss = -np.log(np.maximum(picked, PROB_FLOOR)).mean(axis=-1)
     dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
+    dlogits.reshape(-1, k)[hit] -= 1.0
+    dlogits /= logits.shape[-2]
     return loss, dlogits
 
 
 def train_step(
     model: Mlp, opt: AdamState, batch: np.ndarray, labels: np.ndarray
-) -> float:
-    """One Adam step on mean cross-entropy; returns the pre-step loss."""
+) -> float | np.ndarray:
+    """One Adam step on mean cross-entropy; returns the pre-step loss.
+
+    A stack takes ``(M, batch, input_dim)`` features and ``(M, batch)``
+    labels, steps every model at once and returns M losses.
+    """
     y = np.asarray(labels)
-    outside = set(np.unique(y).tolist()) - set(model.active_labels)
+    outside = set(np.unique(y).tolist()) - model.active_labels
     if outside:
         raise ValueError(f"labels {sorted(outside)} outside the model's active set")
     logits, acts = _forward_cached(model, batch)

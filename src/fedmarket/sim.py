@@ -46,6 +46,8 @@ log = logging.getLogger(__name__)
 
 SCENARIOS = ("unrestricted", "restricted", "fedcdc")
 MECHANISMS = ("partition", "first_price")
+# Under first_price every consumer bids this much for each owner it wants.
+FIRST_PRICE_BID = 1.0
 
 # Salts separating the RNG streams derived from the scenario seed.
 _S_BASE_DATA = 1
@@ -124,6 +126,11 @@ class ScenarioConfig:
             )
         if self.history_span < 1:
             raise ConfigError("history_span must be >= 1")
+        if self.mechanism == "first_price" and self.dc_budget < FIRST_PRICE_BID:
+            raise ConfigError(
+                f"dc_budget={self.dc_budget} is below the first_price bid of "
+                f"{FIRST_PRICE_BID}: no consumer could ever win an owner"
+            )
 
 
 _SECTION_TYPES = {
@@ -420,7 +427,7 @@ def _match(
         for row, c in enumerate(consumers):
             for j, o in enumerate(market.owners):
                 if c.id in interest[o.id]:
-                    bids[row, j] = 1.0
+                    bids[row, j] = FIRST_PRICE_BID
         budgets = {row: c.budget for row, c in enumerate(consumers)}
         matching = match_first_price(bids, budgets)
         assignment = {market.owners[j].id: consumers[row].id for j, row in matching.assignment.items()}

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from fedmarket.fed import (
     run_fl_round,
 )
 from fedmarket.market import DataConsumer, DataOwner
-from fedmarket.nn import Mlp, clone_model, init_mlp
+from fedmarket.nn import Mlp, clone_model, init_adam, init_mlp, train_step
 
 
 def model_with(seed, dims=(4, 6, 3), active=None):
@@ -124,6 +125,52 @@ def test_single_owner_round_equals_local_training():
     )
     for a, b in zip(out.parameters(), manual.parameters()):
         assert np.array_equal(a, b)
+
+
+def _sequential_round(model, owners, cfg, rng):
+    """Reference round: each owner trained alone, one train_step per batch."""
+    ordered = sorted(owners, key=lambda o: o.id)
+    trained = []
+    for owner, orng in zip(ordered, rng.spawn(len(ordered))):
+        local = clone_model(model)
+        opt = init_adam(local.parameters(), lr=cfg.lr)
+        shard = owner.train_shard
+        for _ in range(cfg.local_epochs):
+            order = orng.permutation(len(shard))
+            for start in range(0, len(shard), cfg.batch_size):
+                sel = order[start : start + cfg.batch_size]
+                train_step(local, opt, shard.features[sel], shard.labels[sel])
+        trained.append((local, len(shard)))
+    return fedavg_aggregate(trained)
+
+
+# SHA-256 of the aggregated parameters of the mixed-size round below. It pins
+# the training arithmetic (forward, backward, Adam, FedAvg) bit for bit, which
+# output goldens miss when no prediction flips.
+ROUND_DIGEST = "29d7835cbc6cbd1e511cf65d0fdba5ec7a5276a90663feebd4f337cdd786c56e"
+
+
+def test_lockstep_round_equals_sequential_training():
+    ds = gen_blobs(4, 5, 200, 1.0, 30)
+    pool = LabeledDataset(ds.features[ds.labels < 3], ds.labels[ds.labels < 3], 4)
+    # sizes 32 and 23 with batch 16: two lockstep groups, one with a short last batch
+    sizes = {3: 32, 0: 23, 4: 32, 1: 32, 2: 23}
+    owners, at = [], 0
+    for oid, size in sizes.items():
+        sl = slice(at, at + size)
+        owners.append(_owner(oid, LabeledDataset(pool.features[sl], pool.labels[sl], 4)))
+        at += size
+    model = init_mlp(5, [7, 6], 4, {0, 1, 2}, np.random.default_rng(31))
+    consumer = _consumer(model, pool)
+    cfg = FLRoundConfig(local_epochs=3, batch_size=16)
+    out = run_fl_round(consumer, owners, cfg, np.random.default_rng(32))
+    expected = _sequential_round(model, owners, cfg, np.random.default_rng(32))
+    assert np.array_equal(out.flat, expected.flat)
+    assert hashlib.sha256(out.flat.tobytes()).hexdigest() == ROUND_DIGEST
+
+    stray = LabeledDataset(ds.features[ds.labels == 3][:23], ds.labels[ds.labels == 3][:23], 4)
+    with pytest.raises(ValueError, match="outside the model's active set"):
+        run_fl_round(consumer, owners + [_owner(5, stray)], cfg, np.random.default_rng(32))
 
 
 def test_empty_owner_set_starves(caplog):

@@ -61,6 +61,9 @@ def test_config_validation():
         ScenarioConfig(scenario="fedcdc", rounds=5, alliance_start=5)
     with pytest.raises(ConfigError):
         ScenarioConfig(mechanism="vcg")
+    with pytest.raises(ConfigError, match="dc_budget"):
+        ScenarioConfig(mechanism="first_price")  # default dc_budget 0.0 affords no owner
+    ScenarioConfig(mechanism="first_price", dc_budget=24.0)
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
