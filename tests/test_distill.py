@@ -232,6 +232,25 @@ def test_distill_never_touches_teachers():
     assert digest_before == digest_after
 
 
+# SHA-256 of the student's parameters after the run below. The default scenario
+# distills at alpha = 1 from fully covering teachers; this pins the hard-label
+# term and the per-position renormalization bit for bit.
+ALPHA_HALF_DIGEST = "99a966f0e22c00ebccb7564ce509e0684299f9484035278ade4ddc7214fa5771"
+
+
+def test_distill_alpha_half_overlapping_teachers_digest():
+    pub = UnlabeledDataset(gen_blobs(5, 6, 120, 1.0, 40).features)  # 600 rows: short last batch
+    teachers = [
+        init_mlp(6, [8], 5, {0, 1, 2}, np.random.default_rng(41)),
+        init_mlp(6, [8], 5, {1, 2, 3, 4}, np.random.default_rng(42)),
+    ]
+    student = init_mlp(6, [8], 5, {0, 1, 2, 3}, np.random.default_rng(43))
+    cfg = DistillConfig(alpha=0.5, epochs=2, batch_size=32, lr=0.01)
+    distill_train(student, TeacherEnsemble(teachers, student.active_labels), pub, cfg,
+                  np.random.default_rng(44))
+    assert hashlib.sha256(student.flat.tobytes()).hexdigest() == ALPHA_HALF_DIGEST
+
+
 def test_batched_weights_match_single_sample_op():
     rng = np.random.default_rng(12)
     k = 5

@@ -245,6 +245,11 @@ def test_feddf_duplicate_teachers_match_single():
         assert np.allclose(a, b, atol=1e-12)
 
 
+# SHA-256 of the student's parameters after the FedDF round below; the
+# scenario goldens never run FedDF.
+FEDDF_DIGEST = "f054af4519588ad251dd80aab9d1245d5caea744e757a83071c09e6140ca6c4b"
+
+
 def test_feddf_distillation_reduces_loss():
     full = gen_blobs(3, 6, 200, 1.0, 16)
     train, pub_l = split_per_class(full, 150)
@@ -260,6 +265,7 @@ def test_feddf_distillation_reduces_loss():
     before = mean_distill_loss(student0, [m for m, _ in locals_], pub, alpha=1.0)
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=5, batch_size=32)
     student = feddf_round(g, locals_, pub, cfg, np.random.default_rng(19))
+    assert hashlib.sha256(student.flat.tobytes()).hexdigest() == FEDDF_DIGEST
     after = mean_distill_loss(student, [m for m, _ in locals_], pub, alpha=1.0)
     assert before > 0.01
     assert after < before
