@@ -19,7 +19,7 @@ from .data import (
     gen_blobs,
     load_idx,
 )
-from .distill import DistillConfig, TeacherEnsemble, distill_loss, distill_train, ensemble_logits, teacher_weights
+from .distill import DistillConfig, TeacherEnsemble, distill_loss, distill_train
 from .errors import ConfigError
 from .fed import FLRoundConfig, evaluate, fedavg_aggregate, feddf_round, run_fl_round
 from .market import (

@@ -75,15 +75,12 @@ class PartitionSpec:
     samples_per_val: int
     public_size: int
     seed: int
-    shared_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_dc < 1 or self.n_do < 1:
             raise ConfigError("need at least one consumer and one owner")
         if self.n_c < 2 or self.n_c % 2 != 0:
             raise ConfigError(f"n_c must be a positive even number, got {self.n_c}")
-        if self.shared_fraction != 0.5:
-            raise ConfigError("the group construction requires shared_fraction = 0.5")
         if self.n_do % (self.n_dc + 1) != 0:
             raise ConfigError(
                 f"n_do={self.n_do} must divide into {self.n_dc + 1} equal owner groups"

@@ -4,6 +4,10 @@ Student training against a frozen teacher ensemble on unlabeled public data.
 Per sample, each teacher is weighted by exp(-entropy) of its predicted
 distribution, so confident teachers dominate; teacher logits combine per
 output position with weight renormalization over the teachers active there.
+FedDF's aggregation runs the same loop with uniform weights.
+
+The kernels work on rows: the last axis holds the student's active labels,
+``target_index``, in sorted order.
 """
 from __future__ import annotations
 
@@ -14,23 +18,21 @@ import numpy as np
 
 from .data import UnlabeledDataset
 from .nn import (
-    MASK_SENTINEL,
     Mlp,
     PROB_FLOOR,
-    _backward,
-    _forward_cached,
-    entropy,
-    entropy_rows,
-    forward,
-    init_adam,
     adam_step,
+    backward,
+    entropy,
+    forward,
+    forward_cached,
+    init_adam,
     kl_div,
     softmax,
-    softmax_rows,
 )
 
-# Positions below this threshold are treated as masked-out sentinel values.
-_MASK_CUTOFF = MASK_SENTINEL / 2
+# A teacher weighting: (teacher logits, contributor masks, target_index) ->
+# (n_teachers, batch) per-sample weights.
+Weighting = Callable[[list[np.ndarray], list[np.ndarray], np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -64,65 +66,6 @@ class TeacherEnsemble:
                 raise ValueError("a teacher shares no labels with the student")
 
 
-def teacher_weights(teacher_logits: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-teacher weights proportional to exp(-entropy) of each distribution.
-
-    Each logit vector must already be masked (sentinel) outside the teacher's
-    active positions intersected with the student's.
-    """
-    if not teacher_logits:
-        raise ValueError("need at least one teacher logit vector")
-    ents = []
-    for z in teacher_logits:
-        active = _unmasked(z)
-        ents.append(entropy(softmax(z, active)))
-    e = np.exp(-np.asarray(ents))
-    return e / e.sum()
-
-
-def ensemble_logits(
-    teacher_logits: Sequence[np.ndarray],
-    weights: np.ndarray,
-    target_active: frozenset[int] | set[int],
-) -> np.ndarray:
-    """Weighted per-position combination of teacher logits.
-
-    A teacher contributes to a position only where it is active; weights are
-    renormalized per position over the contributing teachers. Positions
-    outside ``target_active`` come back as the mask sentinel.
-    """
-    k = teacher_logits[0].shape[0]
-    combined = np.full(k, MASK_SENTINEL)
-    for pos in sorted(target_active):
-        num = 0.0
-        den = 0.0
-        for z, w in zip(teacher_logits, weights):
-            if z[pos] > _MASK_CUTOFF:
-                num += w * z[pos]
-                den += w
-        if den == 0.0:
-            raise ValueError(f"no teacher covers class {pos}")
-        combined[pos] = num / den
-    return combined
-
-
-def distill_loss(
-    student_logits: np.ndarray,
-    teacher_logits: Sequence[np.ndarray],
-    alpha: float,
-) -> float:
-    """Soft KL(student || combined teacher) blended with hard pseudo-label CE."""
-    target = _unmasked(student_logits)
-    weights = teacher_weights(teacher_logits)
-    z_t = ensemble_logits(teacher_logits, weights, target)
-    p_s = softmax(student_logits, target)
-    p_t = softmax(z_t, target)
-    soft = kl_div(p_s, p_t)
-    pseudo = int(np.argmax(p_t))  # argmax ties resolve to the lowest class id
-    hard = float(-np.log(max(p_s[pseudo], PROB_FLOOR)))
-    return alpha * soft + (1.0 - alpha) * hard
-
-
 def distill_train(
     student: Mlp,
     ensemble: TeacherEnsemble,
@@ -130,7 +73,7 @@ def distill_train(
     cfg: DistillConfig,
     rng: np.random.Generator,
 ) -> Mlp:
-    """Train the student against the ensemble on the public pool.
+    """Train the student against the entropy-weighted ensemble on the public pool.
 
     Teacher weights are recomputed per sample (entropy is input-dependent);
     teachers are never touched. Runs ``cfg.epochs`` shuffled passes and
@@ -142,11 +85,10 @@ def distill_train(
         raise ValueError("ensemble target does not match the student's active set")
     if cfg.epochs == 0:
         return student
-    weight_fn = _entropy_weight_rows
-    _distill_epochs(
+    distill_epochs(
         student,
         ensemble.teachers,
-        weight_fn,
+        entropy_weights,
         public,
         cfg.alpha,
         cfg.epochs,
@@ -157,120 +99,93 @@ def distill_train(
     return student
 
 
-def _unmasked(z: np.ndarray) -> frozenset[int]:
-    return frozenset(int(i) for i in np.flatnonzero(z > _MASK_CUTOFF))
-
-
-def _teacher_slices(
-    teachers: Sequence[Mlp], target_index: np.ndarray
-) -> list[np.ndarray]:
-    """Boolean contributor masks over target positions, one per teacher."""
-    slices = []
-    for t in teachers:
-        active = np.zeros(t.num_classes, dtype=bool)
-        active[t.active_index] = True
-        slices.append(active[target_index])
-    cover = np.logical_or.reduce(slices)
+def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> list[np.ndarray]:
+    """Boolean masks over the target positions, one per teacher, True where it is active."""
+    masks = [t.active_mask[target_index] for t in teachers]
+    cover = np.logical_or.reduce(masks)
     if not cover.all():
         orphan = int(target_index[np.flatnonzero(~cover)[0]])
         raise ValueError(f"no teacher covers class {orphan}")
-    return slices
+    return masks
 
 
-def _entropy_weight_rows(
+def entropy_weights(
     teacher_logits: list[np.ndarray],
     contrib: list[np.ndarray],
     target_index: np.ndarray,
 ) -> np.ndarray:
-    """(n_teachers, batch) entropy-based weights, normalized per sample."""
-    ents = []
-    for z, mask in zip(teacher_logits, contrib):
-        cols = target_index[mask]
-        p = softmax_rows(z, cols)
-        ents.append(entropy_rows(p[:, cols]))
-    h = np.stack(ents)
+    """Per-sample weights proportional to exp(-entropy), normalized over the teachers.
+
+    A teacher's entropy is that of its distribution over the target
+    positions it covers.
+    """
+    h = np.stack(
+        [entropy(softmax(z, target_index[mask])) for z, mask in zip(teacher_logits, contrib)]
+    )
     e = np.exp(-h)
     return e / e.sum(axis=0, keepdims=True)
 
 
-def uniform_weight_rows(
+def uniform_weights(
     teacher_logits: list[np.ndarray],
     contrib: list[np.ndarray],
     target_index: np.ndarray,
 ) -> np.ndarray:
     """Uniform per-sample teacher weights (plain logit averaging)."""
     n_t = len(teacher_logits)
-    batch = teacher_logits[0].shape[0]
-    return np.full((n_t, batch), 1.0 / n_t)
+    return np.full((n_t, *teacher_logits[0].shape[:-1]), 1.0 / n_t)
 
 
-def combine_teacher_rows(
+def combine_teachers(
     teacher_logits: list[np.ndarray],
     weights: np.ndarray,
     contrib: list[np.ndarray],
     target_index: np.ndarray,
 ) -> np.ndarray:
-    """Batched per-position weighted combination over contributing teachers."""
-    batch = teacher_logits[0].shape[0]
-    num = np.zeros((batch, target_index.size))
-    den = np.zeros((batch, target_index.size))
+    """Per-position weighted combination of teacher logits over the target positions.
+
+    A teacher contributes to a position only where it is active; weights are
+    renormalized per position over the contributing teachers.
+    """
+    shape = (*teacher_logits[0].shape[:-1], target_index.size)
+    num = np.zeros(shape)
+    den = np.zeros(shape)
     for z, w, mask in zip(teacher_logits, weights, contrib):
-        vals = z[:, target_index] * mask[None, :]
-        num += w[:, None] * vals
-        den += w[:, None] * mask[None, :]
+        vals = z[..., target_index] * mask
+        num += w[..., None] * vals
+        den += w[..., None] * mask
     return num / den
 
 
-def _distill_epochs(
-    student: Mlp,
+def teacher_targets(
     teachers: Sequence[Mlp],
-    weight_fn: Callable[[list[np.ndarray], list[np.ndarray], np.ndarray], np.ndarray],
-    public: UnlabeledDataset,
-    alpha: float,
-    epochs: int,
-    batch_size: int,
-    lr: float,
-    rng: np.random.Generator,
-) -> None:
-    """Shared minibatch loop for both weighting schemes; mutates the student."""
-    target_index = student.active_index
-    contrib = _teacher_slices(teachers, target_index)
-    opt = init_adam(student.parameters(), lr=lr)
-    n = len(public)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            x = public.features[order[start : start + batch_size]]
-            t_logits = [forward(t, x) for t in teachers]
-            w = weight_fn(t_logits, contrib, target_index)
-            z_t = combine_teacher_rows(t_logits, w, contrib, target_index)
-            p_t = _softmax_dense(z_t)
-            logits, acts = _forward_cached(student, x)
-            p_s = _softmax_dense(logits[:, target_index])
-            dz = _loss_grad_rows(p_s, p_t, alpha)
-            dlogits = np.zeros_like(logits)
-            dlogits[:, target_index] = dz / x.shape[0]
-            grads = _backward(student, acts, dlogits)
-            adam_step(opt, student.parameters(), grads)
-
-
-def distill_loss_rows(
-    student_logits_active: np.ndarray, teacher_probs: np.ndarray, alpha: float
+    contrib: list[np.ndarray],
+    x: np.ndarray,
+    weighting: Weighting,
+    target_index: np.ndarray,
 ) -> np.ndarray:
-    """Per-sample losses on pre-sliced active columns; used for reporting."""
-    p_s = _softmax_dense(student_logits_active)
-    log_ratio = np.log(np.maximum(p_s, PROB_FLOOR)) - np.log(
-        np.maximum(teacher_probs, PROB_FLOOR)
-    )
-    soft = (p_s * log_ratio).sum(axis=1)
-    pseudo = np.argmax(teacher_probs, axis=1)
-    rows = np.arange(p_s.shape[0])
-    hard = -np.log(np.maximum(p_s[rows, pseudo], PROB_FLOOR))
-    return alpha * soft + (1.0 - alpha) * hard
+    """The ensemble's target distribution p_t over the target positions, one row per sample."""
+    t_logits = [forward(t, x) for t in teachers]
+    w = weighting(t_logits, contrib, target_index)
+    z_t = combine_teachers(t_logits, w, contrib, target_index)
+    return softmax(z_t, slice(None))  # z_t holds only the target columns
 
 
-def _loss_grad_rows(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarray:
-    """d(loss)/d(student active logits), per row (not yet averaged)."""
+def distill_loss(student_active_logits: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-row soft KL(student || teacher) blended with hard pseudo-label cross-entropy.
+
+    The pseudo-label is the teacher's argmax; ties resolve to the lowest position.
+    """
+    p_s = softmax(student_active_logits, slice(None))
+    pseudo = np.argmax(p_t, axis=-1)[..., None]
+    hard = -np.log(np.maximum(np.take_along_axis(p_s, pseudo, axis=-1)[..., 0], PROB_FLOOR))
+    return alpha * kl_div(p_s, p_t) + (1.0 - alpha) * hard
+
+
+def distill_loss_grad(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarray:
+    """d(distill_loss)/d(student active logits) for (batch, n) rows, not yet averaged."""
+    # The soft term's gradient needs the per-column log-ratio as well as its
+    # row sum, the KL, so both come from one log-ratio here.
     log_ratio = np.log(np.maximum(p_s, PROB_FLOOR)) - np.log(np.maximum(p_t, PROB_FLOOR))
     kl_row = (p_s * log_ratio).sum(axis=1, keepdims=True)
     grad = alpha * p_s * (log_ratio - kl_row)
@@ -282,7 +197,33 @@ def _loss_grad_rows(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarra
     return grad
 
 
-def _softmax_dense(z: np.ndarray) -> np.ndarray:
-    zz = z - z.max(axis=1, keepdims=True)
-    e = np.exp(zz)
-    return e / e.sum(axis=1, keepdims=True)
+def distill_epochs(
+    student: Mlp,
+    teachers: Sequence[Mlp],
+    weighting: Weighting,
+    public: UnlabeledDataset,
+    alpha: float,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    rng: np.random.Generator,
+) -> None:
+    """Minibatch distillation of ``student``, in place, against frozen ``teachers``.
+
+    Runs ``epochs`` passes over ``public``, each in a fresh ``rng``
+    permutation, with one Adam step per batch.
+    """
+    target_index = student.active_index
+    contrib = contributor_masks(teachers, target_index)
+    opt = init_adam(student.parameters(), lr=lr)
+    n = len(public)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            x = public.features[order[start : start + batch_size]]
+            p_t = teacher_targets(teachers, contrib, x, weighting, target_index)
+            logits, acts = forward_cached(student, x)
+            dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
+            dlogits = np.zeros_like(logits)
+            dlogits[:, target_index] = dz / x.shape[0]
+            adam_step(opt, student.parameters(), backward(student, acts, dlogits))

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
-from .distill import (
-    _distill_epochs,
-    combine_teacher_rows,
-    distill_loss_rows,
-    uniform_weight_rows,
-    _teacher_slices,
-    _softmax_dense,
-)
+from .distill import distill_epochs, uniform_weights
 from .market import DataConsumer, DataOwner
 from .nn import Mlp, clone_model, forward, init_adam, replicate, train_step, unstack
 
@@ -114,10 +107,10 @@ def feddf_round(
     if student.dims != global_model.dims:
         raise ValueError("local models do not match the global architecture")
     teachers = [m for m, _ in local_models]
-    _distill_epochs(
+    distill_epochs(
         student,
         teachers,
-        uniform_weight_rows,
+        uniform_weights,
         public,
         FEDDF_ALPHA,
         cfg.distill_epochs,
@@ -126,21 +119,6 @@ def feddf_round(
         rng,
     )
     return student
-
-
-def mean_distill_loss(
-    student: Mlp, teachers: list[Mlp], public: UnlabeledDataset, alpha: float
-) -> float:
-    """Mean uniform-ensemble distillation loss over the public pool."""
-    target_index = student.active_index
-    contrib = _teacher_slices(teachers, target_index)
-    x = public.features
-    t_logits = [forward(t, x) for t in teachers]
-    w = uniform_weight_rows(t_logits, contrib, target_index)
-    z_t = combine_teacher_rows(t_logits, w, contrib, target_index)
-    p_t = _softmax_dense(z_t)
-    losses = distill_loss_rows(forward(student, x)[:, target_index], p_t, alpha)
-    return float(losses.mean())
 
 
 def run_fl_round(

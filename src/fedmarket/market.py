@@ -71,10 +71,6 @@ class BiddingHistory:
         self.k = k
         self.window = np.zeros((k, n_consumers, n_owners))
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.window.shape  # type: ignore[return-value]
-
 
 def record_bids(history: BiddingHistory, round_index: int, bids: np.ndarray) -> BiddingHistory:
     """Store ``bids`` in slot ``round_index mod k``; other slots untouched."""
@@ -100,9 +96,6 @@ class Matching:
 
     assignment: dict[int, int] = field(default_factory=dict)
 
-    def owners_of(self, consumer_id: int) -> list[int]:
-        return sorted(o for o, c in self.assignment.items() if c == consumer_id)
-
 
 def default_bids(
     consumers: Sequence[DataConsumer],
@@ -127,12 +120,10 @@ def match_random_partition(
     contested: set[int] | frozenset[int],
     consumers: Sequence[int],
     per_dc: int,
-    uncontested: Mapping[int, int],
     seed: int | list[int],
 ) -> Matching:
     """Uniformly partition contested owners, ``per_dc`` to each consumer.
 
-    Uncontested owners go straight to their unique interested consumer.
     Deterministic per seed.
     """
     if len(contested) != per_dc * len(consumers):
@@ -140,7 +131,7 @@ def match_random_partition(
             f"{len(contested)} contested owners cannot be split {per_dc} apiece "
             f"over {len(consumers)} consumers"
         )
-    assignment = dict(sorted(uncontested.items()))
+    assignment: dict[int, int] = {}
     order = np.array(sorted(contested), dtype=np.int64)
     rng = np.random.default_rng(seed)
     rng.shuffle(order)

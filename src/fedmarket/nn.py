@@ -71,9 +71,16 @@ class Mlp:
         return _frozen(np.array(sorted(self.active_labels), dtype=np.intp))
 
     @cached_property
+    def active_mask(self) -> np.ndarray:
+        """Read-only boolean mask over the K outputs, True at active labels."""
+        mask = np.zeros(self.num_classes, dtype=bool)
+        mask[self.active_index] = True
+        return _frozen(mask)
+
+    @cached_property
     def inactive_index(self) -> np.ndarray:
         """Sorted ids of the masked output positions, read-only."""
-        return _frozen(np.setdiff1d(np.arange(self.num_classes), self.active_index))
+        return _frozen(np.flatnonzero(~self.active_mask))
 
     def parameters(self) -> list[np.ndarray]:
         """The arrays an optimizer updates: the one flat buffer."""
@@ -151,11 +158,11 @@ def forward(model: Mlp, batch: np.ndarray) -> np.ndarray:
 
     A stack takes ``(M, batch, input_dim)``, one batch per model.
     """
-    logits, _ = _forward_cached(model, batch)
+    logits, _ = forward_cached(model, batch)
     return logits
 
 
-def _forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass keeping post-activation layer inputs for backprop."""
     x = np.asarray(batch, dtype=float)
     lead = model.flat.shape[:-1]
@@ -177,7 +184,7 @@ def _forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.
     return h, acts
 
 
-def _backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> list[np.ndarray]:
+def backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> list[np.ndarray]:
     """Parameter gradients given dL/dlogits, as one buffer shaped like ``model.flat``.
 
     ``dlogits`` must already be zero at inactive columns; the mask is a
@@ -194,51 +201,30 @@ def _backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> list[n
     return [grad]
 
 
-def softmax(logits: np.ndarray, active: frozenset[int] | set[int]) -> np.ndarray:
-    """Stabilized softmax over the active positions of a single logit vector.
+def softmax(logits: np.ndarray, index: np.ndarray | slice) -> np.ndarray:
+    """Stabilized softmax over the ``index`` columns of each row of ``logits``.
 
-    Inactive positions come back as exactly 0.
+    Rows run along the last axis, so a 1-D input is one row. Returns the
+    ``(..., len(index))`` probabilities of the selected columns; the other
+    columns take no part, which makes this the masked softmax of a model
+    whose active positions are ``index``.
     """
-    if not active:
-        raise ValueError("softmax needs at least one active position")
-    z = np.asarray(logits, dtype=float)
-    idx = np.array(sorted(active), dtype=np.intp)
-    za = z[idx]
-    za = za - za.max()
-    ex = np.exp(za)
-    out = np.zeros_like(z)
-    out[idx] = ex / ex.sum()
-    return out
-
-
-def softmax_rows(logits: np.ndarray, active_index: np.ndarray) -> np.ndarray:
-    """Row-wise masked softmax for a (..., batch, K) logit array."""
-    za = logits[..., active_index]
+    za = logits[..., index]
     za = za - za.max(axis=-1, keepdims=True)
     ex = np.exp(za)
-    probs = np.zeros_like(logits)
-    probs[..., active_index] = ex / ex.sum(axis=-1, keepdims=True)
-    return probs
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats, with the 0*log(0) = 0 convention."""
-    q = np.asarray(p, dtype=float)
-    logs = np.log(np.maximum(q, PROB_FLOOR))
-    return float(-(q * logs).sum())
-
-
-def entropy_rows(p: np.ndarray) -> np.ndarray:
+def entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row, with the 0*log(0) = 0 convention."""
     logs = np.log(np.maximum(p, PROB_FLOOR))
-    return -(p * logs).sum(axis=1)
+    return -(p * logs).sum(axis=-1)
 
 
-def kl_div(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats; q is clamped at the probability floor where p > 0."""
-    pa = np.asarray(p, dtype=float)
-    qa = np.maximum(np.asarray(q, dtype=float), PROB_FLOOR)
-    support = pa > 0.0
-    return float((pa[support] * np.log(pa[support] / qa[support])).sum())
+def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) in nats of each row; both are clamped at the probability floor inside the logs."""
+    log_ratio = np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(q, PROB_FLOOR))
+    return (p * log_ratio).sum(axis=-1)
 
 
 @dataclass
@@ -306,7 +292,8 @@ def cross_entropy_grad(
 
     For a stack, ``logits`` is ``(M, batch, K)`` and the loss is one value per model.
     """
-    probs = softmax_rows(logits, model.active_index)
+    probs = np.zeros_like(logits)
+    probs[..., model.active_index] = softmax(logits, model.active_index)
     k = probs.shape[-1]
     hit = (np.arange(labels.size), labels.ravel())  # each sample's label, one row per sample
     picked = probs.reshape(-1, k)[hit].reshape(labels.shape)
@@ -326,12 +313,12 @@ def train_step(
     labels, steps every model at once and returns M losses.
     """
     y = np.asarray(labels)
-    outside = set(np.unique(y).tolist()) - model.active_labels
-    if outside:
+    if y.size and (y.min() < 0 or y.max() >= model.num_classes or not model.active_mask[y].all()):
+        outside = set(np.unique(y).tolist()) - model.active_labels
         raise ValueError(f"labels {sorted(outside)} outside the model's active set")
-    logits, acts = _forward_cached(model, batch)
+    logits, acts = forward_cached(model, batch)
     loss, dlogits = cross_entropy_grad(model, logits, y)
-    grads = _backward(model, acts, dlogits)
+    grads = backward(model, acts, dlogits)
     adam_step(opt, model.parameters(), grads)
     return loss
 

@@ -131,6 +131,16 @@ class ScenarioConfig:
                 f"dc_budget={self.dc_budget} is below the first_price bid of "
                 f"{FIRST_PRICE_BID}: no consumer could ever win an owner"
             )
+        if (
+            self.scenario == "fedcdc"
+            and self.mechanism == "first_price"
+            and 2 * self.budget_share < FIRST_PRICE_BID
+        ):
+            raise ConfigError(
+                f"budget_share={self.budget_share}: a two-consumer alliance pools "
+                f"{2 * self.budget_share}, below the first_price bid of {FIRST_PRICE_BID}, "
+                f"so its synthetic consumer could never win an owner"
+            )
 
 
 _SECTION_TYPES = {
@@ -432,25 +442,16 @@ def _match(
         matching = match_first_price(bids, budgets)
         assignment = {market.owners[j].id: consumers[row].id for j, row in matching.assignment.items()}
     else:
-        assignment = {}
-        uncontested = {oid: cids[0] for oid, cids in interest.items() if len(cids) == 1}
-        assignment.update(uncontested)
+        assignment = {oid: cids[0] for oid, cids in interest.items() if len(cids) == 1}
         groups: dict[tuple[int, ...], list[int]] = {}
         for oid, cids in interest.items():
             if len(cids) > 1:
                 groups.setdefault(tuple(sorted(cids)), []).append(oid)
         for gidx, (cids, owner_ids) in enumerate(sorted(groups.items())):
-            if len(owner_ids) % len(cids) != 0:
-                raise ConfigError(
-                    f"{len(owner_ids)} contested owners cannot be split evenly "
-                    f"over consumers {list(cids)}"
-                )
-            per_dc = len(owner_ids) // len(cids)
             sub = match_random_partition(
                 set(owner_ids),
                 list(cids),
-                per_dc,
-                {},
+                len(owner_ids) // len(cids),
                 [cfg.seed, _S_MATCHING, round_index, gidx],
             )
             assignment.update(sub.assignment)

@@ -5,7 +5,7 @@ from fedmarket.data import LabeledDataset, gen_blobs
 from fedmarket.distill import DistillConfig
 from fedmarket.fed import FLRoundConfig
 from fedmarket.market import BiddingHistory, DataConsumer, DataOwner, default_bids, record_bids
-from fedmarket.nn import cross_entropy_grad, init_mlp, _backward, _forward_cached
+from fedmarket.nn import backward, cross_entropy_grad, forward, forward_cached, init_mlp
 from fedmarket.sim import BlobSpec, PartitionSizes, ScenarioConfig
 
 
@@ -72,17 +72,19 @@ def paper_market(n_shared_owners=6, budget=0.0, num_classes=10):
     return consumers, owners, history
 
 
-def _loss_of(model, x, y):
-    logits, _ = _forward_cached(model, x)
-    loss, _ = cross_entropy_grad(model, logits, y)
-    return loss
+def cross_entropy(model, y):
+    """Mean cross-entropy on labels ``y``, as a ``loss_grad`` for :func:`max_grad_rel_error`."""
+    return lambda logits: cross_entropy_grad(model, logits, y)
 
 
-def max_grad_rel_error(model, x, y, h=1e-4):
-    """Worst elementwise relative error, analytic vs central finite differences."""
-    logits, acts = _forward_cached(model, x)
-    _, dlogits = cross_entropy_grad(model, logits, y)
-    grads = _backward(model, acts, dlogits)
+def max_grad_rel_error(model, x, loss_grad, h=1e-4):
+    """Worst elementwise relative error, analytic vs central finite differences.
+
+    ``loss_grad(logits)`` returns the scalar loss and its gradient dL/dlogits.
+    """
+    logits, acts = forward_cached(model, x)
+    _, dlogits = loss_grad(logits)
+    grads = backward(model, acts, dlogits)
     worst = 0.0
     for p, g in zip(model.parameters(), grads):
         it = np.nditer(p, flags=["multi_index"])
@@ -90,9 +92,9 @@ def max_grad_rel_error(model, x, y, h=1e-4):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + h
-            lp = _loss_of(model, x, y)
+            lp = loss_grad(forward(model, x))[0]
             p[idx] = orig - h
-            lm = _loss_of(model, x, y)
+            lm = loss_grad(forward(model, x))[0]
             p[idx] = orig
             fd = (lp - lm) / (2 * h)
             rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6)

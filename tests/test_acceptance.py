@@ -15,13 +15,13 @@ import pytest
 from fedmarket.alliances import candidate_value, enumerate_candidates, offer_and_collect, select_alliances
 from fedmarket.cli import main as cli_main
 from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
-from fedmarket.distill import DistillConfig, TeacherEnsemble, distill_loss, distill_train, teacher_weights
+from fedmarket.distill import DistillConfig, TeacherEnsemble, distill_loss, distill_train, entropy_weights
 from fedmarket.fed import evaluate, fedavg_aggregate
 from fedmarket.maxclique import WeightedGraph, brute_force, solve
-from fedmarket.nn import MASK_SENTINEL, init_adam, init_mlp, kl_div, train_step
+from fedmarket.nn import init_adam, init_mlp, kl_div, softmax, train_step
 from fedmarket.sim import SCENARIOS, ScenarioConfig, run_scenario
 
-from conftest import max_grad_rel_error, paper_market
+from conftest import cross_entropy, max_grad_rel_error, paper_market
 
 SEEDS = (1, 2, 3)
 POINTS = 0.05  # one accuracy "point" is 0.01
@@ -123,16 +123,10 @@ def test_criterion_4_alliance_creation_trace():
 
 
 def test_criterion_5_distillation_math():
-    def masked(values, active, k):
-        z = np.full(k, MASK_SENTINEL)
-        for pos, v in zip(sorted(active), values):
-            z[pos] = v
-        return z
-
     # entropy weights: one-hot teacher vs uniform-over-4 teacher -> (0.8, 0.2)
-    confident = masked([1000.0, 0.0, 0.0, 0.0], {0, 1, 2, 3}, 4)
-    uniform = masked([0.0, 0.0, 0.0, 0.0], {0, 1, 2, 3}, 4)
-    w = teacher_weights([confident, uniform])
+    confident = np.array([1000.0, 0.0, 0.0, 0.0])
+    uniform = np.array([0.0, 0.0, 0.0, 0.0])
+    w = entropy_weights([confident, uniform], [np.ones(4, dtype=bool)] * 2, np.arange(4))
     assert abs(w[0] - 0.8) < 1e-9
     assert abs(w[1] - 0.2) < 1e-9
 
@@ -140,16 +134,16 @@ def test_criterion_5_distillation_math():
     assert abs(kl_div(np.array([1.0, 0.0]), np.array([0.5, 0.5])) - math.log(2)) < 1e-9
 
     # loss endpoints
-    student = masked([0.7, -0.2], {0, 1}, 2)
-    teacher = masked([1.5, 0.3], {0, 1}, 2)
+    student = np.array([0.7, -0.2])
+    p_t = softmax(np.array([1.5, 0.3]), np.arange(2))
     ps = np.exp([0.7, -0.2])
     ps /= ps.sum()
     pt = np.exp([1.5, 0.3])
     pt /= pt.sum()
     soft = float(sum(ps * np.log(ps / pt)))
     hard = -math.log(ps[0])  # teacher argmax is class 0
-    assert abs(distill_loss(student, [teacher], alpha=1.0) - soft) < 1e-9
-    assert abs(distill_loss(student, [teacher], alpha=0.0) - hard) < 1e-9
+    assert abs(distill_loss(student, p_t, alpha=1.0) - soft) < 1e-9
+    assert abs(distill_loss(student, p_t, alpha=0.0) - hard) < 1e-9
     print("PASS criterion 5: entropy weights (0.8, 0.2), KL ln 2, and loss endpoints within 1e-9")
 
 
@@ -158,7 +152,7 @@ def test_criterion_6_gradient_correctness():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, 5)
-    worst = max_grad_rel_error(model, x, y, h=1e-4)
+    worst = max_grad_rel_error(model, x, cross_entropy(model, y), h=1e-4)
     assert worst <= 1e-3
     print(f"PASS criterion 6: max gradient relative error {worst:.2e} <= 1e-3")
 

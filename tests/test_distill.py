@@ -8,41 +8,46 @@ from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
 from fedmarket.distill import (
     DistillConfig,
     TeacherEnsemble,
-    _entropy_weight_rows,
-    _teacher_slices,
+    combine_teachers,
+    contributor_masks,
     distill_loss,
+    distill_loss_grad,
     distill_train,
-    ensemble_logits,
-    teacher_weights,
+    entropy_weights,
 )
 from fedmarket.fed import evaluate
-from fedmarket.nn import MASK_SENTINEL, clone_model, forward, init_adam, init_mlp, train_step
+from fedmarket.nn import MASK_SENTINEL, clone_model, forward, init_adam, init_mlp, softmax, train_step
+
+from conftest import max_grad_rel_error
 
 
-def masked(values, active, k):
-    z = np.full(k, MASK_SENTINEL)
-    for pos, v in zip(sorted(active), values):
-        z[pos] = v
-    return z
+def weights_of(*rows):
+    """entropy_weights of one-row teacher logits that each cover every position."""
+    k = len(rows[0])
+    covers = [np.ones(k, dtype=bool)] * len(rows)
+    return entropy_weights([np.asarray(z, dtype=float) for z in rows], covers, np.arange(k))
+
+
+def target(z):
+    """A one-teacher ensemble's target distribution: the softmax of its logits."""
+    return softmax(np.asarray(z, dtype=float), slice(None))
 
 
 # ---------------------------------------------------------------- teacher weights
 
 def test_single_teacher_weight_one():
-    w = teacher_weights([masked([1.0, 2.0], {0, 1}, 2)])
+    w = weights_of([1.0, 2.0])
     assert np.allclose(w, [1.0])
 
 
 def test_identical_teachers_uniform():
-    z = masked([0.3, -0.2, 1.0], {0, 1, 2}, 3)
-    w = teacher_weights([z, z, z])
+    z = [0.3, -0.2, 1.0]
+    w = weights_of(z, z, z)
     assert np.allclose(w, 1 / 3)
 
 
 def test_confident_vs_uniform_closed_form():
-    confident = masked([1000.0, 0.0, 0.0, 0.0], {0, 1, 2, 3}, 4)
-    uniform = masked([0.0, 0.0, 0.0, 0.0], {0, 1, 2, 3}, 4)
-    w = teacher_weights([confident, uniform])
+    w = weights_of([1000.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
     # exp(0) / (exp(0) + exp(-ln 4)) = 0.8
     assert abs(w[0] - 0.8) < 1e-9
     assert abs(w[1] - 0.2) < 1e-9
@@ -50,98 +55,99 @@ def test_confident_vs_uniform_closed_form():
 
 def test_weights_sum_to_one_and_positive():
     rng = np.random.default_rng(0)
-    logits = [masked(rng.normal(size=3), {0, 1, 2}, 3) for _ in range(4)]
-    w = teacher_weights(logits)
+    w = weights_of(*[rng.normal(size=3) for _ in range(4)])
     assert abs(w.sum() - 1.0) < 1e-12
     assert (w > 0).all()
 
 
 def test_weights_permutation_equivariant():
     rng = np.random.default_rng(1)
-    logits = [masked(rng.normal(size=3), {0, 1, 2}, 3) for _ in range(3)]
-    w = teacher_weights(logits)
-    w_rev = teacher_weights(logits[::-1])
+    logits = [rng.normal(size=3) for _ in range(3)]
+    w = weights_of(*logits)
+    w_rev = weights_of(*logits[::-1])
     assert np.allclose(w[::-1], w_rev)
 
 
 def test_weight_decreases_with_entropy():
-    sharp = masked([3.0, 0.0], {0, 1}, 2)
-    flat = masked([0.5, 0.0], {0, 1}, 2)
-    flatter = masked([0.1, 0.0], {0, 1}, 2)
-    w1 = teacher_weights([sharp, flat])
-    w2 = teacher_weights([sharp, flatter])
+    sharp = [3.0, 0.0]
+    w1 = weights_of(sharp, [0.5, 0.0])
+    w2 = weights_of(sharp, [0.1, 0.0])
     assert w2[1] < w1[1]
 
 
 def test_duplicate_teacher_increases_its_mass():
-    a = masked([2.0, 0.0], {0, 1}, 2)
-    b = masked([0.0, 1.0], {0, 1}, 2)
-    w = teacher_weights([a, b])
-    w_dup = teacher_weights([a, a, b])
+    a = [2.0, 0.0]
+    b = [0.0, 1.0]
+    w = weights_of(a, b)
+    w_dup = weights_of(a, a, b)
     assert w_dup[0] + w_dup[1] > w[0]
 
 
-# ---------------------------------------------------------------- ensemble logits
+# ---------------------------------------------------------------- combine
+
+ALL2 = [np.ones(2, dtype=bool)]
+
 
 def test_ensemble_single_teacher_identity():
-    z = masked([1.5, -0.5], {0, 1}, 2)
-    out = ensemble_logits([z], np.array([1.0]), {0, 1})
+    z = np.array([1.5, -0.5])
+    out = combine_teachers([z], np.array([1.0]), ALL2, np.arange(2))
     assert np.allclose(out, z)
 
 
 def test_ensemble_full_overlap_mean():
-    a = masked([2.0, 0.0], {0, 1}, 2)
-    b = masked([0.0, 4.0], {0, 1}, 2)
-    out = ensemble_logits([a, b], np.array([0.5, 0.5]), {0, 1})
+    a = np.array([2.0, 0.0])
+    b = np.array([0.0, 4.0])
+    out = combine_teachers([a, b], np.array([0.5, 0.5]), ALL2 * 2, np.arange(2))
     assert np.allclose(out, [1.0, 2.0])
 
 
 def test_ensemble_partial_overlap_renormalizes():
-    a = masked([1.0, 3.0], {0, 1}, 3)  # active {0, 1}
-    b = masked([5.0, 7.0], {1, 2}, 3)  # active {1, 2}
-    out = ensemble_logits([a, b], np.array([0.5, 0.5]), {0, 1, 2})
+    a = np.array([1.0, 3.0, MASK_SENTINEL])  # active {0, 1}
+    b = np.array([MASK_SENTINEL, 5.0, 7.0])  # active {1, 2}
+    contrib = [np.array([True, True, False]), np.array([False, True, True])]
+    out = combine_teachers([a, b], np.array([0.5, 0.5]), contrib, np.arange(3))
     assert out[0] == 1.0  # only teacher A covers class 0
     assert out[2] == 7.0  # only teacher B covers class 2
     assert out[1] == 4.0  # averaged with renormalized (equal) weights
 
 
 def test_ensemble_orphan_class_rejected():
-    a = masked([1.0, 3.0], {0, 1}, 3)
+    a = init_mlp(2, [3], 3, {0, 1}, np.random.default_rng(0))
     with pytest.raises(ValueError, match="class 2"):
-        ensemble_logits([a], np.array([1.0]), {0, 1, 2})
+        contributor_masks([a], np.arange(3))
 
 
 # ---------------------------------------------------------------- loss
 
 def test_loss_zero_when_student_matches_teacher():
-    z = masked([1.0, -1.0, 0.5], {0, 1, 2}, 3)
-    assert distill_loss(z, [z], alpha=1.0) == pytest.approx(0.0, abs=1e-12)
+    z = np.array([1.0, -1.0, 0.5])
+    assert distill_loss(z, target(z), alpha=1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_alpha_zero_is_pseudo_label_ce():
-    student = masked([0.0, 1.0], {0, 1}, 2)
-    teacher = masked([2.0, 0.0], {0, 1}, 2)  # argmax -> class 0
-    got = distill_loss(student, [teacher], alpha=0.0)
+    student = np.array([0.0, 1.0])
+    teacher = [2.0, 0.0]  # argmax -> class 0
+    got = distill_loss(student, target(teacher), alpha=0.0)
     p0 = math.exp(0.0) / (math.exp(0.0) + math.exp(1.0))
     assert abs(got - (-math.log(p0))) < 1e-12
 
 
 def test_loss_alpha_half_blends_hand_computed_terms():
-    student = masked([0.4, -0.3], {0, 1}, 2)
-    teacher = masked([1.2, 0.1], {0, 1}, 2)
+    student = np.array([0.4, -0.3])
+    teacher = [1.2, 0.1]
     ps = np.exp([0.4, -0.3])
     ps /= ps.sum()
     pt = np.exp([1.2, 0.1])
     pt /= pt.sum()
     soft = float(sum(ps * np.log(ps / pt)))
     hard = -math.log(ps[0])  # teacher argmax is class 0
-    got = distill_loss(student, [teacher], alpha=0.5)
+    got = distill_loss(student, target(teacher), alpha=0.5)
     assert abs(got - 0.5 * (soft + hard)) < 1e-12
 
 
 def test_loss_uses_student_first_kl_orientation():
-    student = masked([2.0, 0.0], {0, 1}, 2)
-    teacher = masked([0.0, 1.0], {0, 1}, 2)
+    student = np.array([2.0, 0.0])
+    teacher = [0.0, 1.0]
     ps = np.exp([2.0, 0.0])
     ps /= ps.sum()
     pt = np.exp([0.0, 1.0])
@@ -149,16 +155,33 @@ def test_loss_uses_student_first_kl_orientation():
     kl_st = float(sum(ps * np.log(ps / pt)))
     kl_ts = float(sum(pt * np.log(pt / ps)))
     assert abs(kl_st - kl_ts) > 1e-3  # asymmetric inputs
-    got = distill_loss(student, [teacher], alpha=1.0)
+    got = distill_loss(student, target(teacher), alpha=1.0)
     assert abs(got - kl_st) < 1e-12
 
 
 def test_loss_nonnegative_at_alpha_one():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        s = masked(rng.normal(size=3), {0, 1, 2}, 3)
-        t = masked(rng.normal(size=3), {0, 1, 2}, 3)
-        assert distill_loss(s, [t], alpha=1.0) >= -1e-12
+        s = rng.normal(size=3)
+        t = rng.normal(size=3)
+        assert distill_loss(s, target(t), alpha=1.0) >= -1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_loss_grad_matches_finite_differences(alpha):
+    student = init_mlp(4, [6], 5, {0, 2, 3}, np.random.default_rng(50))  # 3 of K = 5 active
+    idx = student.active_index
+    rng = np.random.default_rng(51)
+    x = rng.normal(size=(6, 4))
+    p_t = target(rng.normal(size=(6, idx.size)))
+
+    def loss_grad(logits):
+        z = logits[:, idx]
+        dlogits = np.zeros_like(logits)
+        dlogits[:, idx] = distill_loss_grad(softmax(z, slice(None)), p_t, alpha) / len(x)
+        return distill_loss(z, p_t, alpha).mean(), dlogits
+
+    assert max_grad_rel_error(student, x, loss_grad) <= 1e-3
 
 
 # ---------------------------------------------------------------- training
@@ -251,6 +274,17 @@ def test_distill_alpha_half_overlapping_teachers_digest():
     assert hashlib.sha256(student.flat.tobytes()).hexdigest() == ALPHA_HALF_DIGEST
 
 
+def _oracle_entropy_weights(rows):
+    """Per-sample reference: exp(-entropy) weights from each teacher's covered logits."""
+    ents = []
+    for z in rows:
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        ents.append(-sum(float(pi) * math.log(pi) for pi in p if pi > 0.0))
+    e = np.exp(-np.asarray(ents))
+    return e / e.sum()
+
+
 def test_batched_weights_match_single_sample_op():
     rng = np.random.default_rng(12)
     k = 5
@@ -258,20 +292,15 @@ def test_batched_weights_match_single_sample_op():
         init_mlp(4, [6], k, {0, 1, 2}, np.random.default_rng(13)),
         init_mlp(4, [6], k, {1, 2, 3}, np.random.default_rng(14)),
     ]
-    target = frozenset({1, 2, 3})
-    target_index = np.array(sorted(target), dtype=np.intp)
+    target_index = np.array([1, 2, 3], dtype=np.intp)
     x = rng.normal(size=(6, 4))
     t_logits = [forward(t, x) for t in teachers]
-    contrib = _teacher_slices(teachers, target_index)
-    batched = _entropy_weight_rows(t_logits, contrib, target_index)
+    contrib = contributor_masks(teachers, target_index)
+    batched = entropy_weights(t_logits, contrib, target_index)
     for row in range(6):
-        singles = []
-        for z, mask in zip(t_logits, contrib):
-            zi = np.full(k, MASK_SENTINEL)
-            cols = target_index[mask]
-            zi[cols] = z[row, cols]
-            singles.append(zi)
-        expected = teacher_weights(singles)
+        expected = _oracle_entropy_weights(
+            [z[row, target_index[mask]] for z, mask in zip(t_logits, contrib)]
+        )
         assert np.allclose(batched[:, row], expected, atol=1e-12)
 
 

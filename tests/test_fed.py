@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs, split_per_class
+from fedmarket.distill import contributor_masks, distill_loss, teacher_targets, uniform_weights
 from fedmarket.fed import (
     FLRoundConfig,
     evaluate,
     fedavg_aggregate,
     feddf_round,
     local_train,
-    mean_distill_loss,
     run_fl_round,
 )
 from fedmarket.market import DataConsumer, DataOwner
-from fedmarket.nn import Mlp, clone_model, init_adam, init_mlp, train_step
+from fedmarket.nn import Mlp, clone_model, forward, init_adam, init_mlp, train_step
 
 
 def model_with(seed, dims=(4, 6, 3), active=None):
@@ -224,11 +224,19 @@ def test_iid_split_matches_pooled_training():
 
 # ---------------------------------------------------------------- feddf
 
+def feddf_loss(student, teachers, public, alpha):
+    """Mean FedDF (uniform-ensemble) distillation loss over the public pool."""
+    idx = student.active_index
+    contrib = contributor_masks(teachers, idx)
+    p_t = teacher_targets(teachers, contrib, public.features, uniform_weights, idx)
+    return float(distill_loss(forward(student, public.features)[:, idx], p_t, alpha).mean())
+
+
 def test_feddf_self_distillation_starts_at_zero_loss():
     ds = gen_blobs(3, 4, 60, 1.0, 10)
     pub = UnlabeledDataset(ds.features)
     model = model_with(11)
-    loss = mean_distill_loss(model, [clone_model(model)], pub, alpha=1.0)
+    loss = feddf_loss(model, [clone_model(model)], pub, alpha=1.0)
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -262,11 +270,11 @@ def test_feddf_distillation_reduces_loss():
         for i, o in enumerate(owners)
     ]
     student0 = fedavg_aggregate(locals_)
-    before = mean_distill_loss(student0, [m for m, _ in locals_], pub, alpha=1.0)
+    before = feddf_loss(student0, [m for m, _ in locals_], pub, alpha=1.0)
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=5, batch_size=32)
     student = feddf_round(g, locals_, pub, cfg, np.random.default_rng(19))
     assert hashlib.sha256(student.flat.tobytes()).hexdigest() == FEDDF_DIGEST
-    after = mean_distill_loss(student, [m for m, _ in locals_], pub, alpha=1.0)
+    after = feddf_loss(student, [m for m, _ in locals_], pub, alpha=1.0)
     assert before > 0.01
     assert after < before
 

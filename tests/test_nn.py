@@ -10,18 +10,20 @@ from fedmarket.nn import (
     Mlp,
     adam_step,
     clone_model,
+    cross_entropy_grad,
     entropy,
     forward,
     init_adam,
     init_mlp,
     kl_div,
     load_model,
+    replicate,
     save_model,
     softmax,
     train_step,
 )
 from fedmarket.data import gen_blobs
-from conftest import max_grad_rel_error
+from conftest import cross_entropy, max_grad_rel_error
 
 
 def small_model(seed=0, dims=(4, 6, 3), active=None):
@@ -32,31 +34,37 @@ def small_model(seed=0, dims=(4, 6, 3), active=None):
 # ---------------------------------------------------------------- softmax
 
 def test_softmax_symmetry():
-    p = softmax(np.array([0.0, 0.0]), {0, 1})
+    p = softmax(np.array([0.0, 0.0]), np.arange(2))
     assert np.allclose(p, [0.5, 0.5])
 
 
 def test_softmax_closed_form():
-    p = softmax(np.array([math.log(3.0), 0.0]), {0, 1})
+    p = softmax(np.array([math.log(3.0), 0.0]), np.arange(2))
     assert abs(p[0] - 0.75) < 1e-12
     assert abs(p[1] - 0.25) < 1e-12
 
 
 def test_softmax_large_logit_stable():
-    p = softmax(np.array([1000.0, 0.0]), {0, 1})
+    p = softmax(np.array([1000.0, 0.0]), np.arange(2))
     assert np.isfinite(p).all()
     assert abs(p[0] - 1.0) < 1e-12
 
 
 def test_softmax_masks_inactive_to_zero():
-    p = softmax(np.array([1.0, 2.0, 3.0, 4.0]), {1, 2})
-    assert p[0] == 0.0 and p[3] == 0.0
-    assert abs(p[1] + p[2] - 1.0) < 1e-6
+    index = np.array([1, 2])
+    p = softmax(np.array([1.0, 2.0, 3.0, 4.0]), index)
+    assert np.array_equal(p, softmax(np.array([-7.0, 2.0, 3.0, 9.0]), index))
+    assert abs(p.sum() - 1.0) < 1e-12
+    # a model's full-K distribution puts exactly zero mass on its inactive labels
+    m = init_mlp(4, [6], 4, {1, 2}, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(3, 4))
+    _, dlogits = cross_entropy_grad(m, forward(m, x), np.array([1, 2, 1]))
+    assert (dlogits[:, [0, 3]] == 0.0).all()
 
 
 def test_softmax_empty_mask_rejected():
     with pytest.raises(ValueError):
-        softmax(np.array([1.0, 2.0]), set())
+        softmax(np.array([1.0, 2.0]), np.array([], dtype=np.intp))
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,7 +74,7 @@ def test_softmax_empty_mask_rejected():
 )
 def test_softmax_shift_invariant_and_normalized(logits, shift):
     z = np.array(logits)
-    active = set(range(len(logits)))
+    active = np.arange(len(logits))
     p = softmax(z, active)
     q = softmax(z + shift, active)
     assert (p >= 0).all()
@@ -218,8 +226,15 @@ def test_initial_loss_is_uniform_baseline():
 def test_train_step_rejects_labels_outside_active_set():
     m = init_mlp(4, [6], 4, {0, 1}, np.random.default_rng(0))
     opt = init_adam(m.parameters())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labels \[3\]"):
         train_step(m, opt, np.zeros((2, 4)), np.array([0, 3]))
+    for bad in (4, -1):  # outside [0, K) as well
+        with pytest.raises(ValueError, match=rf"labels \[{bad}\]"):
+            train_step(m, opt, np.zeros((2, 4)), np.array([bad, 1]))
+    stack = replicate(m, 2)
+    with pytest.raises(ValueError, match=r"labels \[2\]"):
+        train_step(stack, init_adam(stack.parameters()), np.zeros((2, 3, 4)),
+                   np.array([[0, 1, 1], [1, 2, 0]]))
 
 
 def test_repeated_batch_loss_decreases():
@@ -238,7 +253,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, 5)
-    assert max_grad_rel_error(m, x, y) <= 1e-3
+    assert max_grad_rel_error(m, x, cross_entropy(m, y)) <= 1e-3
 
 
 def test_gradient_matches_finite_differences_masked():
@@ -246,7 +261,7 @@ def test_gradient_matches_finite_differences_masked():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 4))
     y = np.array([1, 3, 1, 3, 1])
-    assert max_grad_rel_error(m, x, y) <= 1e-3
+    assert max_grad_rel_error(m, x, cross_entropy(m, y)) <= 1e-3
 
 
 # ---------------------------------------------------------------- checkpoints

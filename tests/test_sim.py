@@ -63,7 +63,10 @@ def test_config_validation():
         ScenarioConfig(mechanism="vcg")
     with pytest.raises(ConfigError, match="dc_budget"):
         ScenarioConfig(mechanism="first_price")  # default dc_budget 0.0 affords no owner
-    ScenarioConfig(mechanism="first_price", dc_budget=24.0)
+    with pytest.raises(ConfigError, match="budget_share"):
+        ScenarioConfig(mechanism="first_price", dc_budget=24.0, budget_share=0.4)
+    ScenarioConfig(mechanism="first_price", dc_budget=24.0, budget_share=0.5)
+    ScenarioConfig(scenario="restricted", mechanism="first_price", dc_budget=24.0)
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
