@@ -168,10 +168,19 @@ def test_emit_byte_identical_across_runs(tmp_path):
 # SHA-256 of the three output files of the tiny scenarios. They pin the
 # numbers, not only run-to-run determinism: a change that moves any output
 # bit must re-baseline these and say why in CHANGES.md.
+FIRST_PRICE = dict(mechanism="first_price", dc_budget=24.0)
+TINY_RUNS = {
+    "restricted": ("restricted", {}),
+    "fedcdc": ("fedcdc", {}),
+    "unrestricted": ("unrestricted", {}),
+    "restricted-first_price": ("restricted", FIRST_PRICE),
+    "fedcdc-first_price": ("fedcdc", {**FIRST_PRICE, "budget_share": 0.5}),
+}
+NO_ALLIANCES = "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
 TINY_GOLDEN = {
     "restricted": {
         "accuracy.csv": "a8b33a881afdb09e0c60e20f0ae61abb8a0c658bd94393359a8a4ce2a93261b9",
-        "alliances.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "alliances.json": NO_ALLIANCES,
         "summary.json": "f26e4d5530aa7ff53923cc0f40618e8940ae45a22ca9c593a72dca4d1bc37664",
     },
     "fedcdc": {
@@ -179,14 +188,30 @@ TINY_GOLDEN = {
         "alliances.json": "ac3a4952d49aff7935d54dee927d9cd884f6359054997f7fb0b4c6e02fc2add0",
         "summary.json": "2a5b6c09ff93e6d0b3d584ef1d6cf9f6c75cab5a04f9fae23adc20377e311386",
     },
+    "unrestricted": {
+        "accuracy.csv": "dfcbc45cb29faba00c25caaa749438c6b70b0d08fec1a55a62027745cefca702",
+        "alliances.json": NO_ALLIANCES,
+        "summary.json": "50a41bb660b479a40a14ecf0798e3d2912cd4b241fe054f132120f663ea16e98",
+    },
+    "restricted-first_price": {
+        "accuracy.csv": "3bd961d9b6c4e88c6e0aec5435383eb78e2f7a0987481dbdd0c5e5ae7dc82a85",
+        "alliances.json": NO_ALLIANCES,
+        "summary.json": "14b599cf810ab239edc7ce9d5c39e9ec54a44879256ecb7c858012f33b4622df",
+    },
+    "fedcdc-first_price": {
+        "accuracy.csv": "2e88ff0adf047605f6122698f82f3eb5bdac17ec3347cabbfacdd8e2c263a3f5",
+        "alliances.json": "56d16623132b9b8a9f81f7eb1e4dd9fb2d5ebce0549123936700f35dc12f13e2",
+        "summary.json": "0a78ac19615a2f7712a0b6e497fa5313a2e2e2f36a7e79a9b75ba29d1d48296f",
+    },
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(TINY_GOLDEN))
-def test_emit_matches_golden_digests(tmp_path, scenario):
-    paths = emit_metrics(run_scenario(tiny_cfg(scenario)), tmp_path)
+@pytest.mark.parametrize("run", sorted(TINY_GOLDEN))
+def test_emit_matches_golden_digests(tmp_path, run):
+    scenario, overrides = TINY_RUNS[run]
+    paths = emit_metrics(run_scenario(tiny_cfg(scenario, **overrides)), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    assert digests == TINY_GOLDEN[scenario]
+    assert digests == TINY_GOLDEN[run]
 
 
 def test_summary_contents(tmp_path):
