@@ -78,7 +78,7 @@ class PartitionSpec:
 
     def __post_init__(self) -> None:
         if self.n_dc < 1 or self.n_do < 1:
-            raise ConfigError("need at least one consumer and one owner")
+            raise ConfigError(f"n_dc={self.n_dc} and n_do={self.n_do} must both be >= 1")
         if self.n_c < 2 or self.n_c % 2 != 0:
             raise ConfigError(f"n_c must be a positive even number, got {self.n_c}")
         if self.n_do % (self.n_dc + 1) != 0:

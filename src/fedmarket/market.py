@@ -10,6 +10,9 @@ from .data import LabeledDataset
 from .errors import ConfigError
 from .nn import Mlp
 
+# Every consumer bids this much for each owner it wants, under both mechanisms.
+BID = 1.0
+
 
 @dataclass
 class DataOwner:
@@ -97,47 +100,47 @@ class Matching:
     assignment: dict[int, int] = field(default_factory=dict)
 
 
-def default_bids(
-    consumers: Sequence[DataConsumer],
-    owners: Sequence[DataOwner],
-    excluded: Mapping[int, frozenset[int]] | None = None,
-) -> np.ndarray:
-    """Default bidding behavior: 1.0 on every owner with overlapping labels.
-
-    ``excluded`` maps a consumer id to owner ids it abstains from (owners its
-    alliance recruits instead).
-    """
+def default_bids(consumers: Sequence[DataConsumer], owners: Sequence[DataOwner]) -> np.ndarray:
+    """Default bidding behavior: ``BID`` on every owner with overlapping labels."""
     bids = np.zeros((len(consumers), len(owners)))
     for i, c in enumerate(consumers):
-        skip = excluded.get(c.id, frozenset()) if excluded else frozenset()
         for j, o in enumerate(owners):
-            if o.id not in skip and c.label_set & o.label_set:
-                bids[i, j] = 1.0
+            if c.label_set & o.label_set:
+                bids[i, j] = BID
     return bids
 
 
-def match_random_partition(
-    contested: set[int] | frozenset[int],
-    consumers: Sequence[int],
-    per_dc: int,
-    seed: int | list[int],
-) -> Matching:
-    """Uniformly partition contested owners, ``per_dc`` to each consumer.
+def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> Matching:
+    """Give each owner to one of its bidders, splitting shared owners evenly at random.
 
-    Deterministic per seed.
+    Rows of ``bids`` are consumers and columns owners; a positive entry is a
+    bid. An owner with one bidder goes to it; one nobody bids on stays
+    unmatched. Owners with the same set of bidders form a group, and groups
+    in sorted bidder order get indices 0, 1, ...; group ``g`` is shuffled
+    with seed ``[*seed, g]`` and dealt to its bidders in equal slices, in row
+    order. Deterministic per seed.
     """
-    if len(contested) != per_dc * len(consumers):
-        raise ConfigError(
-            f"{len(contested)} contested owners cannot be split {per_dc} apiece "
-            f"over {len(consumers)} consumers"
-        )
+    b = np.asarray(bids)
     assignment: dict[int, int] = {}
-    order = np.array(sorted(contested), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(order)
-    for i, cid in enumerate(consumers):
-        for o in order[i * per_dc : (i + 1) * per_dc]:
-            assignment[int(o)] = cid
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for o in range(b.shape[1]):
+        rows = tuple(int(i) for i in np.flatnonzero(b[:, o] > 0))
+        if len(rows) == 1:
+            assignment[o] = rows[0]
+        elif rows:
+            groups.setdefault(rows, []).append(o)
+    for g, (rows, owners) in enumerate(sorted(groups.items())):
+        per_row = len(owners) // len(rows)
+        if len(owners) != per_row * len(rows):
+            raise ConfigError(
+                f"{len(owners)} contested owners cannot be split {per_row} apiece "
+                f"over {len(rows)} consumers"
+            )
+        order = np.array(owners, dtype=np.int64)
+        np.random.default_rng([*seed, g]).shuffle(order)
+        for i, row in enumerate(rows):
+            for o in order[i * per_row : (i + 1) * per_row]:
+                assignment[int(o)] = row
     return Matching(assignment)
 
 

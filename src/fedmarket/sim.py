@@ -32,6 +32,7 @@ from .distill import DistillConfig, TeacherEnsemble, distill_train
 from .errors import ConfigError
 from .fed import FLRoundConfig, evaluate, run_fl_round
 from .market import (
+    BID,
     BiddingHistory,
     DataConsumer,
     DataOwner,
@@ -46,8 +47,6 @@ log = logging.getLogger(__name__)
 
 SCENARIOS = ("unrestricted", "restricted", "fedcdc")
 MECHANISMS = ("partition", "first_price")
-# Under first_price every consumer bids this much for each owner it wants.
-FIRST_PRICE_BID = 1.0
 
 # Salts separating the RNG streams derived from the scenario seed.
 _S_BASE_DATA = 1
@@ -126,21 +125,48 @@ class ScenarioConfig:
             )
         if self.history_span < 1:
             raise ConfigError("history_span must be >= 1")
-        if self.mechanism == "first_price" and self.dc_budget < FIRST_PRICE_BID:
+        if self.scenario == "fedcdc" and self.history_span > self.matching_period:
+            raise ConfigError(
+                f"history_span={self.history_span} exceeds matching_period="
+                f"{self.matching_period}: bids from before an alliance formed would "
+                f"still be in the window at the next creation pass and propose stale "
+                f"sub-coalitions"
+            )
+        if self.mechanism == "first_price" and self.dc_budget < BID:
             raise ConfigError(
                 f"dc_budget={self.dc_budget} is below the first_price bid of "
-                f"{FIRST_PRICE_BID}: no consumer could ever win an owner"
+                f"{BID}: no consumer could ever win an owner"
             )
         if (
             self.scenario == "fedcdc"
             and self.mechanism == "first_price"
-            and 2 * self.budget_share < FIRST_PRICE_BID
+            and 2 * self.budget_share < BID
         ):
             raise ConfigError(
                 f"budget_share={self.budget_share}: a two-consumer alliance pools "
-                f"{2 * self.budget_share}, below the first_price bid of {FIRST_PRICE_BID}, "
+                f"{2 * self.budget_share}, below the first_price bid of {BID}, "
                 f"so its synthetic consumer could never win an owner"
             )
+        try:
+            spec = self.partition_spec()
+        except ConfigError as exc:
+            raise ConfigError(f"partition.{exc}") from exc
+        # Every consumer bids on every group-0 owner, so the partition
+        # mechanism splits that group over all of them.
+        if (
+            self.scenario != "unrestricted"
+            and self.mechanism == "partition"
+            and spec.n_dc >= 2
+            and spec.owners_per_group % spec.n_dc
+        ):
+            raise ConfigError(
+                f"partition.n_do={spec.n_do}: the {spec.owners_per_group} shared owners of "
+                f"group 0 cannot be split evenly over n_dc={spec.n_dc} consumers"
+            )
+
+    def partition_spec(self) -> PartitionSpec:
+        """The data layout of ``partition``; building it runs its checks."""
+        return PartitionSpec(**dataclasses.asdict(self.partition), seed=self.seed)
 
 
 _SECTION_TYPES = {
@@ -226,16 +252,7 @@ class _Market:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         base, test_pool = _load_data(cfg)
-        spec = PartitionSpec(
-            n_dc=cfg.partition.n_dc,
-            n_do=cfg.partition.n_do,
-            n_c=cfg.partition.n_c,
-            samples_per_do=cfg.partition.samples_per_do,
-            samples_per_val=cfg.partition.samples_per_val,
-            public_size=cfg.partition.public_size,
-            seed=cfg.seed,
-        )
-        part = build_market_partition(spec, base)
+        part = build_market_partition(cfg.partition_spec(), base)
         self.owners = [
             DataOwner(j, shard, frozenset(int(c) for c in np.unique(shard.labels)))
             for j, shard in enumerate(part.do_shards)
@@ -267,14 +284,6 @@ class _Market:
 
     def alliance_participants(self) -> set[int]:
         return set().union(*(a.candidate.participants for a in self.alliances)) if self.alliances else set()
-
-    def excluded_owners(self) -> dict[int, frozenset[int]]:
-        """Owners each participant abstains from (its alliances recruit them)."""
-        out: dict[int, set[int]] = {}
-        for a in self.alliances:
-            for pid in a.candidate.participants:
-                out.setdefault(pid, set()).update(a.candidate.contested)
-        return {pid: frozenset(s) for pid, s in out.items()}
 
     def all_consumers(self) -> list[DataConsumer]:
         return self.consumers + [a.consumer for a in self.alliances]
@@ -340,14 +349,18 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:
                         dc.expert = clone_model(dc.model)
                 census_changed = True
 
-        bids = default_bids(market.consumers, market.owners, market.excluded_owners())
+        # Rows are consumer ids and columns owner ids. Participants abstain
+        # from the owners their alliance recruits instead.
+        bids = default_bids(market.consumers, market.owners)
+        for a in market.alliances:
+            bids[np.ix_(sorted(a.candidate.participants), sorted(a.candidate.contested))] = 0.0
         record_bids(market.history, r, bids)
 
         if r % cfg.matching_period == 0 or census_changed:
             recruit = _match(cfg, market, bids, r)
 
         participants = market.alliance_participants()
-        for consumer in market.consumers:
+        for consumer in market.all_consumers():
             recruited = [market.owners[o] for o in recruit.get(consumer.id, [])]
             rng = np.random.default_rng([cfg.seed, _S_TRAINING, consumer.id, r])
             if consumer.id in participants:
@@ -356,19 +369,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:
                 )
             else:
                 consumer.model = run_fl_round(consumer, recruited, cfg.fl, rng, market.public)
-        for a in sorted(market.alliances, key=lambda a: a.candidate.uid):
-            sc = a.consumer
-            recruited = [market.owners[o] for o in recruit.get(sc.id, [])]
-            rng = np.random.default_rng([cfg.seed, _S_TRAINING, sc.id, r])
-            sc.model = run_fl_round(sc, recruited, cfg.fl, rng, market.public)
 
         if cfg.scenario == "fedcdc" and participants:
             for pid in sorted(participants):
                 consumer = market.consumers[pid]
                 teachers = [
-                    a.consumer.model
-                    for a in sorted(market.alliances, key=lambda a: a.candidate.uid)
-                    if pid in a.candidate.participants
+                    a.consumer.model for a in market.alliances if pid in a.candidate.participants
                 ]
                 assert consumer.expert is not None
                 teachers.append(consumer.expert)
@@ -422,42 +428,19 @@ def _match(
             for i, c in enumerate(market.consumers)
         }
 
-    interest: dict[int, list[int]] = {o.id: [] for o in market.owners}
-    for i, c in enumerate(market.consumers):
-        for j, o in enumerate(market.owners):
-            if real_bids[i, j] > 0:
-                interest[o.id].append(c.id)
-    for a in sorted(market.alliances, key=lambda a: a.candidate.uid):
-        for oid in sorted(a.candidate.contested):
-            interest[oid].append(a.consumer.id)
+    # Synthetic consumer ids follow the real ones in alliance order, so each
+    # alliance's bids for its contested owners are the next row.
+    bids = np.zeros((len(market.consumers) + len(market.alliances), len(market.owners)))
+    bids[: len(real_bids)] = real_bids
+    for a in market.alliances:
+        bids[a.consumer.id, sorted(a.candidate.contested)] = BID
 
     if cfg.mechanism == "first_price":
-        consumers = market.all_consumers()
-        bids = np.zeros((len(consumers), len(market.owners)))
-        for row, c in enumerate(consumers):
-            for j, o in enumerate(market.owners):
-                if c.id in interest[o.id]:
-                    bids[row, j] = FIRST_PRICE_BID
-        budgets = {row: c.budget for row, c in enumerate(consumers)}
-        matching = match_first_price(bids, budgets)
-        assignment = {market.owners[j].id: consumers[row].id for j, row in matching.assignment.items()}
+        matching = match_first_price(bids, {c.id: c.budget for c in market.all_consumers()})
     else:
-        assignment = {oid: cids[0] for oid, cids in interest.items() if len(cids) == 1}
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for oid, cids in interest.items():
-            if len(cids) > 1:
-                groups.setdefault(tuple(sorted(cids)), []).append(oid)
-        for gidx, (cids, owner_ids) in enumerate(sorted(groups.items())):
-            sub = match_random_partition(
-                set(owner_ids),
-                list(cids),
-                len(owner_ids) // len(cids),
-                [cfg.seed, _S_MATCHING, round_index, gidx],
-            )
-            assignment.update(sub.assignment)
-
+        matching = match_random_partition(bids, [cfg.seed, _S_MATCHING, round_index])
     recruit: dict[int, list[int]] = {}
-    for oid, cid in sorted(assignment.items()):
+    for oid, cid in sorted(matching.assignment.items()):
         recruit.setdefault(cid, []).append(oid)
     return recruit
 

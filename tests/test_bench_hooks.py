@@ -1,11 +1,16 @@
-"""The library names the benchmark in ``perfbench/`` wraps must keep resolving.
+"""The library names the benchmark in ``perfbench/`` wraps must keep resolving and being called.
 
 The traced benchmark patches functions by module attribute lookup, so renaming
-one of them would break it; this keeps such a rename from passing the suite.
+one of them would break it, and a call that moves elsewhere makes its counts
+read 0; this keeps either from passing the suite.
 """
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
+
+from fedmarket import sim
+from conftest import tiny_cfg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,3 +29,26 @@ def test_benchmark_hooks_resolve():
     hooks += [(module, attr) for module, attr, _ in workloads._SimProbe().targets()]
     missing = [f"{module.__name__}.{attr}" for module, attr in hooks if not callable(getattr(module, attr, None))]
     assert not missing, f"benchmark hooks no longer resolve: {missing}"
+
+
+def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
+    # A hook that still resolves but is no longer called reads 0 unnoticed;
+    # the round probe also needs exactly one default_bids call per round.
+    workloads = _load_workloads()
+    names = {attr for module, attr, _ in workloads.TRACE_POINTS if module is sim}
+    names |= {attr for module, attr, _ in workloads._SimProbe().targets() if module is sim}
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    cfg = tiny_cfg("fedcdc")
+    sim.emit_metrics(sim.run_scenario(cfg), tmp_path)
+    assert sorted(name for name in names if not calls[name]) == []
+    assert calls["default_bids"] == cfg.rounds

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fedmarket.data import gen_blobs
 from fedmarket.errors import ConfigError
 from fedmarket.market import (
+    BID,
     BiddingHistory,
     DataConsumer,
     DataOwner,
@@ -83,23 +84,23 @@ def test_max_bid_dominates_each_round():
 # ---------------------------------------------------------------- random partition
 
 def test_random_partition_counts():
-    m = match_random_partition({10, 11, 12, 13, 14, 15}, [0, 1, 2], 2, seed=1)
+    m = match_random_partition(np.full((3, 6), BID), seed=[1])
     counts = {c: 0 for c in (0, 1, 2)}
     for owner, consumer in m.assignment.items():
         counts[consumer] += 1
     assert counts == {0: 2, 1: 2, 2: 2}
-    assert set(m.assignment) == {10, 11, 12, 13, 14, 15}
+    assert set(m.assignment) == {0, 1, 2, 3, 4, 5}
 
 
 def test_random_partition_deterministic():
-    a = match_random_partition({1, 2, 3, 4}, [0, 1], 2, seed=9)
-    b = match_random_partition({1, 2, 3, 4}, [0, 1], 2, seed=9)
+    a = match_random_partition(np.full((2, 4), BID), seed=[9])
+    b = match_random_partition(np.full((2, 4), BID), seed=[9])
     assert a.assignment == b.assignment
 
 
 def test_random_partition_varies_with_seed():
     results = {
-        tuple(sorted(match_random_partition({1, 2, 3, 4}, [0, 1], 2, seed=s).assignment.items()))
+        tuple(sorted(match_random_partition(np.full((2, 4), BID), seed=[s]).assignment.items()))
         for s in range(10)
     }
     assert len(results) > 1
@@ -107,7 +108,7 @@ def test_random_partition_varies_with_seed():
 
 def test_random_partition_rejects_indivisible():
     with pytest.raises(ConfigError):
-        match_random_partition({1, 2, 3}, [0, 1], 2, seed=0)
+        match_random_partition(np.full((2, 3), BID), seed=[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,16 +118,34 @@ def test_random_partition_rejects_indivisible():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_random_partition_counts_property(n_consumers, per_dc, seed):
-    contested = set(range(100, 100 + n_consumers * per_dc))
-    m = match_random_partition(contested, list(range(n_consumers)), per_dc, seed)
-    assert set(m.assignment) == contested
+    m = match_random_partition(np.full((n_consumers, n_consumers * per_dc), BID), [seed])
+    assert set(m.assignment) == set(range(n_consumers * per_dc))
     for cid in range(n_consumers):
         assert sum(c == cid for c in m.assignment.values()) == per_dc
 
 
 def test_random_partition_each_owner_once():
-    m = match_random_partition(set(range(12)), [0, 1, 2, 3], 3, seed=5)
+    m = match_random_partition(np.full((4, 12), BID), seed=[5])
     assert sorted(m.assignment) == list(range(12))
+
+
+def test_random_partition_splits_each_bidder_set_in_its_own_stream():
+    # Owners 0-3 are wanted by consumers {0, 1}, owners 4-9 by {1, 2}, owner
+    # 10 by consumer 2 alone, owner 11 by nobody.
+    bids = np.zeros((3, 12))
+    bids[[0, 1], 0:4] = BID
+    bids[[1, 2], 4:10] = BID
+    bids[2, 10] = BID
+    m = match_random_partition(bids, seed=[7, 3])
+    expected = {10: 2}
+    for g, (rows, owners) in enumerate([((0, 1), range(0, 4)), ((1, 2), range(4, 10))]):
+        order = np.array(owners)
+        np.random.default_rng([7, 3, g]).shuffle(order)
+        per_row = len(order) // len(rows)
+        for i, row in enumerate(rows):
+            expected.update({int(o): row for o in order[i * per_row : (i + 1) * per_row]})
+    assert m.assignment == expected
+    assert 11 not in m.assignment
 
 
 # ---------------------------------------------------------------- first price
@@ -190,13 +209,3 @@ def test_default_bids_interest_structure():
     consumers = [_consumer(0, {0, 1}), _consumer(1, {1, 2})]
     bids = default_bids(consumers, owners)
     assert np.array_equal(bids, [[1.0, 0.0], [1.0, 1.0]])
-
-
-def test_default_bids_respects_exclusions():
-    base = gen_blobs(4, 4, 20, 0.5, 3)
-    keep = np.isin(base.labels, [0, 1])
-    shard = type(base)(base.features[keep], base.labels[keep], 4)
-    owners = [DataOwner(0, shard, frozenset({0, 1}))]
-    consumers = [_consumer(0, {0, 1})]
-    bids = default_bids(consumers, owners, {0: frozenset({0})})
-    assert bids[0, 0] == 0.0

@@ -9,6 +9,7 @@ from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
 from fedmarket.maxclique import WeightedGraph, write_dimacs
 from fedmarket.sim import (
+    PartitionSizes,
     ScenarioConfig,
     compare_scenarios,
     config_from_dict,
@@ -67,6 +68,23 @@ def test_config_validation():
         ScenarioConfig(mechanism="first_price", dc_budget=24.0, budget_share=0.4)
     ScenarioConfig(mechanism="first_price", dc_budget=24.0, budget_share=0.5)
     ScenarioConfig(scenario="restricted", mechanism="first_price", dc_budget=24.0)
+    # Bids from before round 4's alliance would still be in the window at
+    # round 6 and propose a stale sub-coalition.
+    with pytest.raises(ConfigError, match="history_span"):
+        ScenarioConfig(rounds=10, alliance_start=4, history_span=3, matching_period=2)
+    ScenarioConfig(rounds=10, alliance_start=1, history_span=2, matching_period=2)
+    ScenarioConfig(scenario="restricted", history_span=3, matching_period=2)
+    with pytest.raises(ConfigError, match="partition.n_do"):
+        ScenarioConfig(partition=PartitionSizes(n_do=25))  # 4 owner groups
+    # 20 owners make groups of 5, and group 0's five cannot be split over 3.
+    five_per_group = PartitionSizes(n_dc=3, n_do=20)
+    for scenario in ("restricted", "fedcdc"):
+        with pytest.raises(ConfigError, match="partition.n_do"):
+            ScenarioConfig(scenario=scenario, partition=five_per_group)
+    ScenarioConfig(scenario="unrestricted", partition=five_per_group)
+    ScenarioConfig(
+        scenario="restricted", mechanism="first_price", dc_budget=24.0, partition=five_per_group
+    )
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
@@ -104,17 +122,18 @@ def test_contested_owner_serves_one_consumer_per_round():
 
 
 def test_fedcdc_forms_single_triple_alliance():
-    trace = run_scenario(tiny_cfg("fedcdc"))
-    assert len(trace.alliances) == 1
-    rec = trace.alliances[0]
-    assert rec.created_round == 2
-    assert rec.participants == [0, 1, 2]
-    assert rec.value == len(rec.participants) * len(rec.shared_labels) * len(rec.contested_owners)
-    # after creation the alliance recruits all six shared owners
-    shared = set(rec.contested_owners)
-    for row in trace.rows:
-        if row.round >= rec.created_round:
-            assert not (set(row.recruited) & shared)
+    for overrides in ({}, TINY_RUNS["fedcdc-first_price"][1]):
+        trace = run_scenario(tiny_cfg("fedcdc", **overrides))
+        assert len(trace.alliances) == 1
+        rec = trace.alliances[0]
+        assert rec.created_round == 2
+        assert rec.participants == [0, 1, 2]
+        assert rec.value == len(rec.participants) * len(rec.shared_labels) * len(rec.contested_owners)
+        # after creation the participants abstain from all six shared owners
+        shared = set(rec.contested_owners)
+        for row in trace.rows:
+            if row.round >= rec.created_round:
+                assert not (set(row.recruited) & shared)
 
 
 def test_trace_has_one_row_per_round_and_dc():
@@ -242,6 +261,7 @@ def _write_tiny_config(tmp_path, scenario="restricted"):
         "rounds": cfg.rounds,
         "matching_period": cfg.matching_period,
         "alliance_start": cfg.alliance_start,
+        "history_span": cfg.history_span,
         "seed": cfg.seed,
         "samples_per_test": cfg.samples_per_test,
         "blobs": dataclasses.asdict(cfg.blobs),
