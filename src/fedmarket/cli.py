@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             clique, weight = solve(graph)
             print(f"clique: {' '.join(str(v + 1) for v in sorted(clique))}")
             print(f"weight: {weight}")
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, FloatingPointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

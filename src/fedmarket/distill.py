@@ -11,6 +11,7 @@ The kernels work on rows: the last axis holds the student's active labels,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +50,8 @@ class DistillConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -211,17 +214,27 @@ def distill_epochs(
     """Minibatch distillation of ``student``, in place, against frozen ``teachers``.
 
     Runs ``epochs`` passes over ``public``, each in a fresh ``rng``
-    permutation, with one Adam step per batch.
+    permutation, with one Adam step per batch. The teachers are frozen, so
+    their targets form one table over the pool, built before the first epoch
+    and gathered per batch.
     """
     target_index = student.active_index
     contrib = contributor_masks(teachers, target_index)
-    opt = init_adam(student.parameters(), lr=lr)
     n = len(public)
+    # Built in batch-sized chunks: the BLAS may round a row differently
+    # depending on how many rows share the call, and a chunk computes each
+    # row as a full training batch would.
+    chunks = [public.features[start : start + batch_size] for start in range(0, n, batch_size)]
+    p_pool = np.concatenate(
+        [teacher_targets(teachers, contrib, x, weighting, target_index) for x in chunks]
+    )
+    opt = init_adam(student.parameters(), lr=lr)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            x = public.features[order[start : start + batch_size]]
-            p_t = teacher_targets(teachers, contrib, x, weighting, target_index)
+            idx = order[start : start + batch_size]
+            x = public.features[idx]
+            p_t = p_pool[idx]
             logits, acts = forward_cached(student, x)
             dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
             dlogits = np.zeros_like(logits)

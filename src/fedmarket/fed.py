@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class FLRoundConfig:
             raise ValueError("epoch counts must be >= 1")
         if self.method not in ("fedavg", "feddf"):
             raise ValueError(f"unknown aggregation method {self.method!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def fedavg_aggregate(local_models: list[tuple[Mlp, int]]) -> Mlp:

@@ -41,7 +41,7 @@ from .market import (
     match_random_partition,
     record_bids,
 )
-from .nn import clone_model, init_mlp
+from .nn import Mlp, clone_model, init_mlp
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +191,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             extra = set(value) - known
             if extra:
                 raise ConfigError(f"unknown keys {sorted(extra)} in config section {key!r}")
-            kwargs[key] = cls(**value)
+            try:
+                kwargs[key] = cls(**value)
+            except ValueError as exc:
+                raise ConfigError(f"config section {key!r}: {exc}") from exc
         else:
             kwargs[key] = value
     try:
@@ -364,11 +367,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:
             recruited = [market.owners[o] for o in recruit.get(consumer.id, [])]
             rng = np.random.default_rng([cfg.seed, _S_TRAINING, consumer.id, r])
             if consumer.id in participants:
-                consumer.expert = run_fl_round(
+                consumer.expert = trained = run_fl_round(
                     consumer, recruited, cfg.fl, rng, market.public, model=consumer.expert
                 )
             else:
-                consumer.model = run_fl_round(consumer, recruited, cfg.fl, rng, market.public)
+                consumer.model = trained = run_fl_round(
+                    consumer, recruited, cfg.fl, rng, market.public
+                )
+            _check_finite(trained, r, consumer.id, "local training")
 
         if cfg.scenario == "fedcdc" and participants:
             for pid in sorted(participants):
@@ -379,13 +385,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:
                 assert consumer.expert is not None
                 teachers.append(consumer.expert)
                 ensemble = TeacherEnsemble(teachers, consumer.label_set)
-                distill_train(
+                student = distill_train(
                     consumer.model,
                     ensemble,
                     market.public,
                     cfg.distill,
                     np.random.default_rng([cfg.seed, _S_DISTILL, pid, r]),
                 )
+                _check_finite(student, r, pid, "distillation")
 
         for consumer in market.consumers:
             val = evaluate(consumer.model, consumer.validation_shard, consumer.label_set)
@@ -401,6 +408,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:
     final_val = {c.id: best_val[c.id] for c in market.consumers}
     final_test = {c.id: best_test[c.id] for c in market.consumers}
     return MetricsTrace(cfg.scenario, cfg.seed, rows, alliance_records, final_val, final_test)
+
+
+def _check_finite(model: Mlp, round_index: int, consumer_id: int, phase: str) -> None:
+    """Stop the run on NaN/inf parameters, naming where they appeared."""
+    if not np.isfinite(model.flat).all():
+        raise FloatingPointError(
+            f"round {round_index}: consumer {consumer_id}'s model has non-finite "
+            f"parameters after {phase}"
+        )
 
 
 def _record_of(a: Alliance) -> AllianceRecord:

@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from fedmarket import sim
+from fedmarket import distill, sim
 from conftest import tiny_cfg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,9 +34,12 @@ def test_benchmark_hooks_resolve():
 def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     # A hook that still resolves but is no longer called reads 0 unnoticed;
     # the round probe also needs exactly one default_bids call per round.
+    # The distill hooks are the teacher forwards and the student's Adam, which
+    # the tiny fedcdc run reaches through distill_train.
     workloads = _load_workloads()
-    names = {attr for module, attr, _ in workloads.TRACE_POINTS if module is sim}
-    names |= {attr for module, attr, _ in workloads._SimProbe().targets() if module is sim}
+    hooks = {(module, attr) for module, attr, _ in workloads.TRACE_POINTS if module in (sim, distill)}
+    hooks |= {(module, attr) for module, attr, _ in workloads._SimProbe().targets() if module is sim}
+    assert {(distill, "forward"), (distill, "adam_step")} <= hooks
     calls = Counter()
 
     def counted(name, fn):
@@ -46,9 +49,11 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    for module, attr in hooks:
+        name = f"{module.__name__}.{attr}"
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
     cfg = tiny_cfg("fedcdc")
     sim.emit_metrics(sim.run_scenario(cfg), tmp_path)
-    assert sorted(name for name in names if not calls[name]) == []
-    assert calls["default_bids"] == cfg.rounds
+    names = sorted(f"{module.__name__}.{attr}" for module, attr in hooks)
+    assert [name for name in names if not calls[name]] == []
+    assert calls["fedmarket.sim.default_bids"] == cfg.rounds

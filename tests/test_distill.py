@@ -4,19 +4,34 @@ import math
 import numpy as np
 import pytest
 
+from fedmarket import distill
 from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
 from fedmarket.distill import (
     DistillConfig,
     TeacherEnsemble,
     combine_teachers,
     contributor_masks,
+    distill_epochs,
     distill_loss,
     distill_loss_grad,
     distill_train,
     entropy_weights,
+    teacher_targets,
+    uniform_weights,
 )
 from fedmarket.fed import evaluate
-from fedmarket.nn import MASK_SENTINEL, clone_model, forward, init_adam, init_mlp, softmax, train_step
+from fedmarket.nn import (
+    MASK_SENTINEL,
+    adam_step,
+    backward,
+    clone_model,
+    forward,
+    forward_cached,
+    init_adam,
+    init_mlp,
+    softmax,
+    train_step,
+)
 
 from conftest import max_grad_rel_error
 
@@ -274,6 +289,66 @@ def test_distill_alpha_half_overlapping_teachers_digest():
     assert hashlib.sha256(student.flat.tobytes()).hexdigest() == ALPHA_HALF_DIGEST
 
 
+def _overlapping_setup(n_rows):
+    """A pool of ``n_rows`` rows, two partly overlapping teachers and a student."""
+    pub = UnlabeledDataset(gen_blobs(5, 6, 200, 1.0, 60).features[:n_rows])
+    teachers = [
+        init_mlp(6, [8], 5, {0, 1, 2}, np.random.default_rng(61)),
+        init_mlp(6, [8], 5, {1, 2, 3, 4}, np.random.default_rng(62)),
+    ]
+    student = init_mlp(6, [8], 5, {0, 1, 2, 3}, np.random.default_rng(63))
+    return pub, teachers, student
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
+    pub, teachers, student = _overlapping_setup(197)
+    calls = []
+
+    def counted(model, x):
+        calls.append(len(x))
+        return forward(model, x)
+
+    monkeypatch.setattr(distill, "forward", counted)
+    distill_epochs(student, teachers, entropy_weights, pub, 0.5, epochs, 32, 0.01,
+                   np.random.default_rng(64))
+    assert len(calls) == len(teachers) * math.ceil(197 / 32)
+    assert sum(calls) == len(teachers) * 197
+
+
+def _oracle_distill_epochs(student, teachers, weighting, public, alpha, epochs, batch_size, lr, rng):
+    """Per-batch reference: recompute the teachers' targets for every batch of every epoch."""
+    target_index = student.active_index
+    contrib = contributor_masks(teachers, target_index)
+    opt = init_adam(student.parameters(), lr=lr)
+    n = len(public)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            x = public.features[order[start : start + batch_size]]
+            p_t = teacher_targets(teachers, contrib, x, weighting, target_index)
+            logits, acts = forward_cached(student, x)
+            dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
+            dlogits = np.zeros_like(logits)
+            dlogits[:, target_index] = dz / x.shape[0]
+            adam_step(opt, student.parameters(), backward(student, acts, dlogits))
+
+
+@pytest.mark.parametrize("weighting", [entropy_weights, uniform_weights])
+@pytest.mark.parametrize("n_rows", [197, 193])
+def test_target_table_matches_per_batch_targets(weighting, n_rows):
+    # Batches of 32 leave a short last batch (5 rows, 1 row) whose rows the
+    # table computed inside full chunks; the BLAS may round them differently
+    # (with OpenBLAS a one-row batch moves the last bits).
+    pub, teachers, student = _overlapping_setup(n_rows)
+    oracle = clone_model(student)
+    distill_epochs(student, teachers, weighting, pub, 0.5, 3, 32, 0.01, np.random.default_rng(65))
+    _oracle_distill_epochs(oracle, teachers, weighting, pub, 0.5, 3, 32, 0.01,
+                           np.random.default_rng(65))
+    assert not np.array_equal(student.flat, _overlapping_setup(n_rows)[2].flat)  # it trained
+    np.testing.assert_allclose(student.flat, oracle.flat, rtol=0, atol=1e-9)
+
+
 def _oracle_entropy_weights(rows):
     """Per-sample reference: exp(-entropy) weights from each teacher's covered logits."""
     ents = []
@@ -309,5 +384,8 @@ def test_config_validation():
         DistillConfig(alpha=1.5)
     with pytest.raises(ValueError):
         DistillConfig(epochs=-1)
+    for lr in (0.0, -0.001, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            DistillConfig(lr=lr)
     with pytest.raises(ValueError):
         TeacherEnsemble([], frozenset({0}))

@@ -349,3 +349,8 @@ def test_config_validation():
         FLRoundConfig(local_epochs=0)
     with pytest.raises(ValueError):
         FLRoundConfig(method="fedsgd")
+    with pytest.raises(ValueError, match="batch_size"):
+        FLRoundConfig(batch_size=0)
+    for lr in (0.0, -0.001, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            FLRoundConfig(lr=lr)

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from fedmarket import sim
 from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
 from fedmarket.maxclique import WeightedGraph, write_dimacs
+from fedmarket.nn import clone_model
 from fedmarket.sim import (
     PartitionSizes,
     ScenarioConfig,
@@ -85,6 +87,13 @@ def test_config_validation():
     ScenarioConfig(
         scenario="restricted", mechanism="first_price", dc_budget=24.0, partition=five_per_group
     )
+    # Section settings fail at load, naming the section and the key, not in round 0.
+    with pytest.raises(ConfigError, match="'fl': batch_size"):
+        config_from_dict({"fl": {"batch_size": 0}})
+    with pytest.raises(ConfigError, match="'fl': lr"):
+        config_from_dict({"fl": {"lr": 0.0}})
+    with pytest.raises(ConfigError, match="'distill': lr"):
+        config_from_dict({"distill": {"lr": float("nan")}})
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
@@ -312,6 +321,40 @@ def test_cli_solve_mwc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "weight: 5" in out
     assert "clique: 1 2" in out
+
+
+def _nan_model(model):
+    out = clone_model(model)
+    out.flat[0] = np.nan
+    return out
+
+
+def test_non_finite_local_model_stops_run(monkeypatch):
+    def nan_round(consumer, owners, cfg, rng, public=None, model=None):
+        return _nan_model(model if model is not None else consumer.model)
+
+    monkeypatch.setattr(sim, "run_fl_round", nan_round)
+    with pytest.raises(FloatingPointError, match="round 0: consumer 0.*local training"):
+        run_scenario(tiny_cfg("restricted"))
+
+
+def test_non_finite_distilled_model_stops_run(monkeypatch):
+    monkeypatch.setattr(sim, "distill_train", lambda student, *args: _nan_model(student))
+    cfg = tiny_cfg("fedcdc")
+    with pytest.raises(
+        FloatingPointError, match=f"round {cfg.alliance_start}: consumer 0.*distillation"
+    ):
+        run_scenario(cfg)
+
+
+def test_cli_reports_non_finite_model(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "distill_train", lambda student, *args: _nan_model(student))
+    cfg_path = _write_tiny_config(tmp_path, "fedcdc")
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: round 2: consumer 0's model has non-finite parameters after distillation" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_bad_config_reports_error(tmp_path, capsys):
