@@ -72,6 +72,33 @@ def paper_market(n_shared_owners=6, budget=0.0, num_classes=10):
     return consumers, owners, history
 
 
+def group_market(n_dc, seed):
+    """The paper's layout at ``n_dc`` consumers: every consumer holds one shared
+    two-label block plus a unique two-label block of its own, and one owner
+    group (of 2 or 3 owners) holds each block. Every subset of two or more
+    consumers is a candidate, so ``n_dc = 9`` gives 2**9 - 10 = 502 of them.
+    """
+    rng = np.random.default_rng(seed)
+    perm = [int(c) for c in rng.permutation(2 * (n_dc + 1))]
+    blocks = [frozenset(perm[2 * g : 2 * g + 2]) for g in range(n_dc + 1)]
+    per_group = int(rng.integers(2, 4))
+    num_classes = len(perm)
+    base = gen_blobs(num_classes, 8, 2, 0.5, int(rng.integers(2**31)))
+    consumers = [
+        DataConsumer(
+            i, blocks[0] | blk, init_mlp(8, [4], num_classes, blocks[0] | blk, rng),
+            label_shard(base, blocks[0] | blk),
+        )
+        for i, blk in enumerate(blocks[1:])
+    ]
+    owner_labels = [blk for blk in blocks for _ in range(per_group)]
+    owners = [DataOwner(j, label_shard(base, lab), lab) for j, lab in enumerate(owner_labels)]
+    history = BiddingHistory(5, len(consumers), len(owners))
+    for r in range(5):
+        record_bids(history, r, default_bids(consumers, owners))
+    return consumers, owners, history
+
+
 def cross_entropy(model, y):
     """Mean cross-entropy on labels ``y``, as a ``loss_grad`` for :func:`max_grad_rel_error`."""
     return lambda logits: cross_entropy_grad(model, logits, y)

@@ -19,7 +19,7 @@ from fedmarket.alliances import (
 from fedmarket.data import gen_blobs
 from fedmarket.market import DataConsumer
 from fedmarket.nn import init_mlp
-from conftest import SHARED_LABELS as SHARED, label_shard, paper_market
+from conftest import SHARED_LABELS as SHARED, group_market, label_shard, paper_market
 
 K = 10
 
@@ -229,6 +229,22 @@ def test_select_matches_brute_force_on_random_instances():
                     conflicts.add((a, b))
         got = select_alliances(cands, conflicts)
         assert sum(candidate_value(c) for c in got) == _brute_force_select(cands, conflicts)
+
+
+def test_group_market_selection_golden():
+    # Nine consumers sharing one block: all 502 subsets are candidates, every
+    # partition of the consumers into coalitions has the same value 36, and
+    # the lexicographic tie rule picks {0,1}, {2,3}, {4,5}, {6,7,8}.
+    consumers, owners, history = group_market(9, [7, 9])
+    cands = enumerate_candidates(consumers, owners, history, 2, 2)
+    assert len(cands) == 502
+    accepted, conflicts = offer_and_collect(cands, consumers)
+    assert len(accepted) == 502
+    assert len(conflicts) == 118_680
+    selected = select_alliances(accepted, conflicts)
+    assert [c.uid for c in selected] == [0, 15, 26, 119]
+    assert [sorted(c.participants) for c in selected] == [[0, 1], [2, 3], [4, 5], [6, 7, 8]]
+    assert sum(candidate_value(c) for c in selected) == 36
 
 
 def test_select_empty_input():

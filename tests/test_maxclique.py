@@ -19,13 +19,13 @@ def graph(weights, edges):
     return WeightedGraph(list(weights), adj)
 
 
-def random_graph(rng, n, density):
+def random_graph(rng, n, density, max_weight=100):
     adj = np.zeros((n, n), dtype=bool)
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < density:
                 adj[u, v] = adj[v, u] = True
-    weights = [int(w) for w in rng.integers(1, 101, size=n)]
+    weights = [int(w) for w in rng.integers(1, max_weight + 1, size=n)]
     return WeightedGraph(weights, adj)
 
 
@@ -99,6 +99,17 @@ def test_oracle_equivalence_random_graphs():
         assert got_w == exp_w
         assert got_set == exp_set
         assert is_clique(g, got_set)
+
+
+def test_oracle_equivalence_tie_heavy_graphs():
+    # Weights in 1..3 make many maximum cliques of equal weight, so the
+    # lexicographic tie rule decides most of these instances.
+    rng = np.random.default_rng(321)
+    for trial in range(150):
+        n = int(rng.integers(1, 14))
+        density = [0.2, 0.5, 0.8][trial % 3]
+        g = random_graph(rng, n, density, max_weight=3)
+        assert solve(g) == brute_force(g)
 
 
 def test_graph_validation():
