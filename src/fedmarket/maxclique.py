@@ -1,8 +1,9 @@
 """Exact maximum-weight-clique solver plus a brute-force verification oracle.
 
-The solver is branch-and-bound with a greedy weighted-coloring upper bound;
-weights are positive integers so all comparisons are exact. Ties between
-maximum cliques resolve to the lexicographically smallest sorted node set.
+The solver is branch-and-bound with a greedy weighted-coloring upper bound,
+coloured once per node; weights are positive integers so all comparisons are
+exact. Ties between maximum cliques resolve to the lexicographically smallest
+sorted node set.
 """
 from __future__ import annotations
 
@@ -52,54 +53,59 @@ def _neighbor_masks(g: WeightedGraph) -> list[int]:
 def solve(g: WeightedGraph) -> tuple[set[int], int]:
     """Maximum-weight clique and its total weight, found exactly.
 
-    Branch-and-bound over vertices ordered by descending weight; a candidate
-    set is bounded by greedy weighted coloring (any clique takes at most the
-    heaviest vertex from each independent color class). Pruning is strict so
-    equal-weight cliques survive for the lexicographic tie rule.
+    Branch-and-bound over vertices ordered by descending weight. Each
+    candidate set is coloured greedily once, into independent classes; any
+    clique takes at most the heaviest vertex of each class, so the class
+    heads' weights bound it. Branching then goes heaviest-first, and each
+    branched vertex is the heaviest left in its class, so removing it swaps
+    its weight in the bound for that of the next member of its class.
+    Pruning is strict so equal-weight cliques survive for the lexicographic
+    tie rule.
     """
     if g.n == 0:
         return set(), 0
     order = sorted(range(g.n), key=lambda v: (-g.weights[v], v))
     w = [g.weights[v] for v in order]
-    # neighbor masks in the reordered index space
-    pos = {v: i for i, v in enumerate(order)}
-    nbr = [0] * g.n
-    for v in range(g.n):
-        for u in np.flatnonzero(g.adj[v]):
-            nbr[pos[v]] |= 1 << pos[int(u)]
+    # neighbor masks in the reordered index space, bit i for vertex order[i]
+    rows = np.packbits(g.adj[np.ix_(order, order)], axis=1, bitorder="little")
+    nbr = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     best_w = 0
     best_key: tuple[int, ...] = ()
 
-    def bound(candidates: int) -> int:
-        total = 0
-        class_masks: list[int] = []
-        m = candidates
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            for i, cm in enumerate(class_masks):
-                if not (cm & nbr[v]):
-                    class_masks[i] = cm | low
-                    break
-            else:
-                class_masks.append(low)
-                total += w[v]  # first member of a class is its heaviest
-        return total
-
     def expand(clique: list[int], clique_w: int, candidates: int) -> None:
         nonlocal best_w, best_key
-        key = tuple(sorted(order[v] for v in clique))
-        if clique_w > best_w or (clique_w == best_w and key < best_key):
-            best_w, best_key = clique_w, key
+        if clique_w >= best_w:
+            key = tuple(sorted(order[v] for v in clique))
+            if clique_w > best_w or key < best_key:
+                best_w, best_key = clique_w, key
+        if not candidates:
+            return
+        # Greedy colouring, one class at a time in index (= weight) order.
+        bound = 0
+        next_w: dict[int, int] = {}
+        uncoloured = candidates
+        while uncoloured:
+            low = uncoloured & -uncoloured
+            prev = low.bit_length() - 1
+            bound += w[prev]  # first member of a class is its heaviest
+            uncoloured ^= low
+            free = uncoloured & ~nbr[prev]
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                free &= ~(nbr[v] | low)
+                uncoloured ^= low
+                next_w[prev] = w[v]
+                prev = v
         m = candidates
         while m:
-            if clique_w + bound(m) < best_w:
+            if clique_w + bound < best_w:
                 return
             low = m & -m
             v = low.bit_length() - 1
             expand(clique + [v], clique_w + w[v], m & nbr[v])
+            bound += next_w.get(v, 0) - w[v]
             m ^= low
 
     expand([], 0, (1 << g.n) - 1)

@@ -3,8 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmarket.alliances import (
+    MAX_ENUMERABLE_CONSUMERS,
     AllianceCandidate,
     AnonOffer,
     DCResponse,
@@ -26,6 +29,10 @@ K = 10
 
 def _shard(base, labels):
     return label_shard(base, labels)
+
+
+def _no_conflicts(offers):
+    return np.zeros((len(offers), len(offers)), dtype=bool)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -68,6 +75,15 @@ def test_enumeration_guards_consumer_count():
         enumerate_candidates(many, owners, history, 2, 2)
 
 
+def test_enumeration_guard_boundary():
+    consumers, owners, history = group_market(MAX_ENUMERABLE_CONSUMERS, [7, 0])
+    n = MAX_ENUMERABLE_CONSUMERS
+    assert len(enumerate_candidates(consumers, owners, history, 2, 2)) == 2**n - n - 1
+    consumers, owners, history = group_market(MAX_ENUMERABLE_CONSUMERS + 1, [7, 0])
+    with pytest.raises(ValueError, match="guard"):
+        enumerate_candidates(consumers, owners, history, 2, 2)
+
+
 def test_enumeration_rejects_synthetic_consumers():
     consumers, owners, history = paper_market()
     consumers[0].is_synthetic = True
@@ -89,7 +105,7 @@ def test_offer_accept_all_without_conflicts():
     cands = enumerate_candidates(consumers, owners, history, 2, 2)
 
     def accept_all(consumer, offers):
-        return DCResponse({o.uid for o in offers}, set())
+        return DCResponse({o.uid for o in offers}, _no_conflicts(offers))
 
     surviving, conflicts = offer_and_collect(cands, consumers, accept_all)
     assert surviving == cands
@@ -105,7 +121,7 @@ def test_offer_unanimity_rule():
         accepted = {o.uid for o in offers}
         if consumer.id == 0:
             accepted.discard(triple.uid)
-        return DCResponse(accepted, set())
+        return DCResponse(accepted, _no_conflicts(offers))
 
     surviving, _ = offer_and_collect(cands, consumers, decline_triple_if_zero)
     assert triple not in surviving
@@ -118,9 +134,12 @@ def test_offer_conflict_pairs_survive_individually():
     u1, u2 = cands[0].uid, cands[3].uid
 
     def reject_pair(consumer, offers):
-        uids = {o.uid for o in offers}
-        pairs = {(u1, u2)} if {u1, u2} <= uids else set()
-        return DCResponse(uids, pairs)
+        uids = [o.uid for o in offers]
+        matrix = _no_conflicts(offers)
+        if {u1, u2} <= set(uids):
+            a, b = uids.index(u1), uids.index(u2)
+            matrix[a, b] = matrix[b, a] = True
+        return DCResponse(set(uids), matrix)
 
     surviving, conflicts = offer_and_collect(cands, consumers, reject_pair)
     assert {c.uid for c in surviving} == {c.uid for c in cands}
@@ -133,8 +152,8 @@ def test_offer_unknown_uid_response_discarded(caplog):
 
     def buggy(consumer, offers):
         if consumer.id == 1:
-            return DCResponse({9999}, set())
-        return DCResponse({o.uid for o in offers}, set())
+            return DCResponse({9999}, _no_conflicts(offers))
+        return DCResponse({o.uid for o in offers}, _no_conflicts(offers))
 
     with caplog.at_level(logging.WARNING):
         surviving, _ = offer_and_collect(cands, consumers, buggy)
@@ -150,7 +169,7 @@ def test_offers_are_anonymized():
 
     def spy(consumer, offers):
         seen.extend(offers)
-        return DCResponse({o.uid for o in offers}, set())
+        return DCResponse({o.uid for o in offers}, _no_conflicts(offers))
 
     offer_and_collect(cands, consumers, spy)
     for offer in seen:
@@ -166,8 +185,51 @@ def test_default_policy_flags_similar_label_sets():
     ]
     resp = default_policy(None, offers)
     assert resp.accepted == {0, 1, 2}
-    assert (0, 1) in resp.rejected_pairs
-    assert (0, 2) not in resp.rejected_pairs
+    assert resp.conflicts[0, 1] and resp.conflicts[1, 0]
+    assert not resp.conflicts[0, 2] and not resp.conflicts[2, 0]
+    assert not resp.conflicts.diagonal().any()
+
+
+def _oracle_conflicts(offers):
+    """The pairwise rule, one pair at a time, as a matrix over the offers."""
+    out = np.zeros((len(offers), len(offers)), dtype=bool)
+    for (i, a), (j, b) in combinations(enumerate(offers), 2):
+        overlap = len(a.shared_labels & b.shared_labels)
+        if 2 * overlap >= min(len(a.shared_labels), len(b.shared_labels)):
+            out[i, j] = out[j, i] = True
+    return out
+
+
+_label_sets = st.frozensets(st.integers(0, 11), min_size=0, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_label_sets, max_size=12), st.randoms(use_true_random=False))
+def test_default_policy_matches_pairwise_oracle(label_sets, shuffle):
+    uids = list(range(100, 100 + len(label_sets)))
+    shuffle.shuffle(uids)  # offers need not come in uid order
+    offers = [
+        AnonOffer(u, 2, labels, frozenset({0})) for u, labels in zip(uids, label_sets)
+    ]
+    resp = default_policy(None, offers)
+    assert resp.accepted == set(uids)
+    assert resp.conflicts.dtype == bool
+    assert np.array_equal(resp.conflicts, _oracle_conflicts(offers))
+
+
+def test_offer_wrong_shape_response_discarded(caplog):
+    consumers, owners, history = paper_market()
+    cands = enumerate_candidates(consumers, owners, history, 2, 2)
+
+    def short_matrix(consumer, offers):
+        n = len(offers) - 1 if consumer.id == 1 else len(offers)
+        return DCResponse({o.uid for o in offers}, np.zeros((n, n), dtype=bool))
+
+    with caplog.at_level(logging.WARNING):
+        surviving, _ = offer_and_collect(cands, consumers, short_matrix)
+    # as with an unknown uid: consumer 1's offers fail unanimity
+    assert [sorted(c.participants) for c in surviving] == [[0, 2]]
+    assert any("conflict matrix" in rec.message for rec in caplog.records)
 
 
 # ---------------------------------------------------------------- selection
@@ -288,9 +350,11 @@ def test_instantiate_union_labels_and_validation_filter():
     (a,) = instantiate([cand], consumers, 0.0, [8], np.random.default_rng(2), id_start=2)
     assert a.consumer.model.active_labels == frozenset(range(6))
     assert a.consumer.label_set == frozenset({2, 3})
-    for pid, ref in a.validation_refs.items():
-        assert set(np.unique(ref.labels)) <= {2, 3}
-    assert set(np.unique(a.consumer.validation_shard.labels)) == {2, 3}
+    # each participant's validation samples of the shared labels, and no others
+    shard = a.consumer.validation_shard
+    assert set(np.unique(shard.labels)) == {2, 3}
+    expected = sum(int(np.isin(c.validation_shard.labels, [2, 3]).sum()) for c in consumers)
+    assert len(shard.labels) == expected
 
 
 def test_instantiate_skips_unaffordable(caplog):
