@@ -12,12 +12,14 @@ import csv
 import dataclasses
 import json
 import logging
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .alliances import Alliance, candidate_value, create_alliances
+from .alliances import MAX_ENUMERABLE_CONSUMERS, Alliance, candidate_value, create_alliances
 from .data import (
     LabeledDataset,
     PartitionSpec,
@@ -147,6 +149,11 @@ class ScenarioConfig:
                 f"{2 * self.budget_share}, below the first_price bid of {BID}, "
                 f"so its synthetic consumer could never win an owner"
             )
+        if self.scenario == "fedcdc" and self.partition.n_dc > MAX_ENUMERABLE_CONSUMERS:
+            raise ConfigError(
+                f"partition.n_dc={self.partition.n_dc} exceeds the alliance "
+                f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)"
+            )
         try:
             spec = self.partition_spec()
         except ConfigError as exc:
@@ -169,38 +176,58 @@ class ScenarioConfig:
         return PartitionSpec(**dataclasses.asdict(self.partition), seed=self.seed)
 
 
-_SECTION_TYPES = {
-    "blobs": BlobSpec,
-    "partition": PartitionSizes,
-    "fl": FLRoundConfig,
-    "distill": DistillConfig,
-    "idx": IdxPaths,
-}
-
-
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a config from a parsed JSON document, rejecting unknown keys."""
-    kwargs: dict = {}
-    top_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    for key, value in doc.items():
-        if key not in top_fields:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in _SECTION_TYPES:
-            cls = _SECTION_TYPES[key]
-            known = {f.name for f in dataclasses.fields(cls)}
-            extra = set(value) - known
-            if extra:
-                raise ConfigError(f"unknown keys {sorted(extra)} in config section {key!r}")
-            try:
-                kwargs[key] = cls(**value)
-            except ValueError as exc:
-                raise ConfigError(f"config section {key!r}: {exc}") from exc
-        else:
-            kwargs[key] = value
+    """Build a config from a parsed JSON document.
+
+    Unknown and missing keys and values of the wrong type are rejected before
+    anything is built, each error naming the dotted key (``fl.batch_size``).
+    """
+    return _build(ScenarioConfig, doc, "")
+
+
+def _build(cls: type, doc: object, prefix: str) -> object:
+    """One config dataclass from its JSON object; ``prefix`` is its dotted path."""
+    if not isinstance(doc, dict):
+        where = f"config section {prefix[:-1]!r}" if prefix else "a config"
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    extra = set(doc) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown config key {prefix + sorted(extra)[0]!r}")
+    for name, f in fields.items():
+        no_default = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if no_default and name not in doc:
+            raise ConfigError(f"missing config key {prefix + name!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {name: _typed(value, hints[name], prefix + name) for name, value in doc.items()}
     try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not prefix:
+            raise
+        raise ConfigError(f"config section {prefix[:-1]!r}: {exc}") from exc
+
+
+def _typed(value: object, hint: object, key: str) -> object:
+    """``value`` checked against a field annotation: an int is a float, a bool
+    is no int, list elements are checked and dataclasses are built."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        options = [a for a in typing.get_args(hint) if a is not type(None)]
+        if value is None and len(options) < len(typing.get_args(hint)):
+            return None
+        (hint,) = options
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, key + ".")
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        (item,) = typing.get_args(hint)
+        return [_typed(v, item, f"{key}[{i}]") for i, v in enumerate(value)]
+    accepted = (int, float) if hint is float else (hint,)
+    # bool is a subclass of int, but true/false is no count
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> ScenarioConfig:

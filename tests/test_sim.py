@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedmarket import sim
+from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS
 from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
 from fedmarket.maxclique import WeightedGraph, write_dimacs
@@ -55,7 +56,7 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"fl": {"epochs": 3}})
 
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="ideal")
     with pytest.raises(ConfigError):
@@ -94,6 +95,39 @@ def test_config_validation():
         config_from_dict({"fl": {"lr": 0.0}})
     with pytest.raises(ConfigError, match="'distill': lr"):
         config_from_dict({"distill": {"lr": float("nan")}})
+    # Values are checked against the field types, naming the dotted key.
+    for doc, key in [
+        ({"fl": {"batch_size": "32"}}, "fl.batch_size"),
+        ({"rounds": "5"}, "rounds"),
+        ({"hidden_dims": "64"}, "hidden_dims"),
+        ({"hidden_dims": [64, "32"]}, r"hidden_dims\[1\]"),
+        ({"hidden_dims": [64, True]}, r"hidden_dims\[1\]"),
+        ({"seed": True}, "seed"),
+        ({"partition": {"n_dc": 3.0}}, "partition.n_dc"),
+        ({"distill": {"alpha": "1"}}, "distill.alpha"),
+        ({"fl": {"method": 1}}, "fl.method"),
+        ({"fl": 32}, "'fl'"),
+        ({"idx": {"train_images": "a", "train_labels": "b", "test_images": "c"}},
+         "idx.test_labels"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+    # An int is a float; null is an absent optional section.
+    cfg = config_from_dict({"budget_share": 0, "distill": {"alpha": 1}, "idx": None})
+    assert cfg.budget_share == 0 and cfg.distill.alpha == 1 and cfg.idx is None
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"fl": {"batch_size": "32"}}))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "error: fl.batch_size must be int, got '32'" in capsys.readouterr().err
+    # An alliance pass enumerates every consumer subset, so fedcdc is guarded
+    # at the consumer count the pass was measured for.
+    ScenarioConfig(partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS, n_do=12 * 11))
+    with pytest.raises(ConfigError, match="partition.n_dc"):
+        ScenarioConfig(partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS + 1, n_do=13 * 12))
+    ScenarioConfig(
+        scenario="restricted",
+        partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS + 1, n_do=13 * 12),
+    )
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
