@@ -183,12 +183,10 @@ def offer_and_collect(
         unknown = set(response.accepted) - {o.uid for o in offers}
         matrix = np.asarray(response.conflicts, dtype=bool)
         if unknown or matrix.shape != (len(mine), len(mine)):
-            problem = (
-                f"references unknown uids {sorted(unknown)}"
-                if unknown
-                else f"has a {matrix.shape} conflict matrix for {len(mine)} offers"
+            log.warning(
+                "consumer %d response rejected: unknown uids %s, conflict matrix %s for %d offers",
+                consumer.id, sorted(unknown), matrix.shape, len(mine),
             )
-            log.warning("consumer %d response %s; response rejected", consumer.id, problem)
             accepted_by[consumer.id] = set()
             continue
         accepted_by[consumer.id] = set(response.accepted)
