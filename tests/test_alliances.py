@@ -137,13 +137,17 @@ def test_offer_conflict_pairs_survive_individually():
         uids = [o.uid for o in offers]
         matrix = _no_conflicts(offers)
         if {u1, u2} <= set(uids):
-            a, b = uids.index(u1), uids.index(u2)
-            matrix[a, b] = matrix[b, a] = True
+            matrix[uids.index(u2), uids.index(u1)] = True
+            matrix[uids.index(u1), uids.index(u2)] = symmetric
         return DCResponse(set(uids), matrix)
 
-    surviving, conflicts = offer_and_collect(cands, consumers, reject_pair)
-    assert {c.uid for c in surviving} == {c.uid for c in cands}
-    assert (u1, u2) in conflicts
+    # Offers come in the candidates' order, which need not be uid order; a
+    # pair marked on one side of the diagonal only still conflicts.
+    for given in (cands, cands[1:] + cands[:1]):
+        for symmetric in (True, False):
+            surviving, conflicts = offer_and_collect(given, consumers, reject_pair)
+            assert {c.uid for c in surviving} == {c.uid for c in cands}
+            assert conflicts == {(u1, u2)}
 
 
 def test_offer_unknown_uid_response_discarded(caplog):
@@ -253,6 +257,8 @@ def test_select_nonconflicting_takes_both():
     b = AllianceCandidate(1, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
     out = select_alliances([a, b], set())
     assert out == [a, b]
+    # pairs naming a uid that is not among the candidates are ignored
+    assert select_alliances([a, b], {(0, 7), (5, 1), (-3, 0)}) == [a, b]
 
 
 def test_select_conflicting_keeps_heavier():
