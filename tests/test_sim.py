@@ -1,18 +1,22 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fedmarket import sim
-from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS
+from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
 from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
 from fedmarket.maxclique import WeightedGraph, write_dimacs
 from fedmarket.nn import clone_model
 from fedmarket.sim import (
+    AllianceRecord,
+    MetricsTrace,
     PartitionSizes,
+    RoundRow,
     ScenarioConfig,
     compare_scenarios,
     config_from_dict,
@@ -203,6 +207,83 @@ def test_different_seeds_differ():
     assert a.rows != b.rows
 
 
+# ---------------------------------------------------------------- round phases
+
+def _phase_calls(monkeypatch, cfg, policy=default_policy):
+    """Run ``cfg`` counting sim's calls into each round phase's library function.
+
+    Also returns, per round, the ids of the consumers whose global model was
+    distilled. The round starts at sim's one ``default_bids`` call, and a
+    distilled model is known by the consumer ``run_fl_round`` last saw holding
+    it. ``policy`` answers every alliance offer.
+    """
+    calls: Counter = Counter()
+    distilled: list[list[int]] = []
+    holders: dict[int, tuple] = {}
+
+    def start_round(*args):
+        distilled.append([])
+
+    def see_consumer(consumer, *args, **kwargs):
+        holders[id(consumer.model)] = (consumer.model, consumer)
+
+    def see_student(student, *args):
+        model, consumer = holders[id(student)]
+        assert model is student and consumer.expert is not None
+        distilled[-1].append(consumer.id)
+
+    hooks = {"default_bids": start_round, "run_fl_round": see_consumer, "distill_train": see_student}
+    for name in ("default_bids", "create_alliances", "distill_train", "run_fl_round",
+                 "match_random_partition", "match_first_price"):
+        def wrapper(*args, _name=name, _fn=getattr(sim, name), **kwargs):
+            calls[_name] += 1
+            hooks.get(_name, lambda *a, **k: None)(*args, **kwargs)
+            if _name == "create_alliances":
+                kwargs["policy"] = policy
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, wrapper)
+    trace = run_scenario(cfg)
+    assert calls.pop("default_bids") == cfg.rounds
+    return calls, distilled, trace
+
+
+def test_phase_call_counts_restricted(monkeypatch):
+    calls, distilled, _ = _phase_calls(monkeypatch, tiny_cfg("restricted"))
+    assert dict(calls) == {"run_fl_round": 18, "match_random_partition": 3}
+    assert distilled == [[]] * 6
+
+
+@pytest.mark.parametrize("run", ["fedcdc", "fedcdc-first_price"])
+def test_phase_call_counts_fedcdc(monkeypatch, run):
+    # Two alliance passes (rounds 2 and 4); three participants distilled in
+    # each of rounds 2-5; three consumers train in rounds 0-1 and three plus
+    # the alliance in rounds 2-5; matching at rounds 0, 2 and 4.
+    scenario, overrides = TINY_RUNS[run]
+    calls, distilled, trace = _phase_calls(monkeypatch, tiny_cfg(scenario, **overrides))
+    mechanism = "match_first_price" if overrides else "match_random_partition"
+    assert dict(calls) == {
+        "create_alliances": 2, "distill_train": 12, "run_fl_round": 22, mechanism: 3
+    }
+    assert [rec.participants for rec in trace.alliances] == [[0, 1, 2]]
+    assert distilled == [[], [], [0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
+
+
+def test_only_alliance_participants_are_distilled(monkeypatch):
+    # Consumer 2 turns every offer down, so only the pair {0, 1} can form;
+    # consumer 2 keeps training its global model and is never distilled.
+    def without_consumer_2(consumer, offers):
+        response = default_policy(consumer, offers)
+        return DCResponse(set() if consumer.id == 2 else response.accepted, response.conflicts)
+
+    calls, distilled, trace = _phase_calls(monkeypatch, tiny_cfg("fedcdc"), without_consumer_2)
+    assert [rec.participants for rec in trace.alliances] == [[0, 1]]
+    assert dict(calls) == {
+        "create_alliances": 2, "distill_train": 8, "run_fl_round": 22, "match_random_partition": 3
+    }
+    assert distilled == [[], [], [0, 1], [0, 1], [0, 1], [0, 1]]
+
+
 # ---------------------------------------------------------------- metrics files
 
 def test_emit_row_count(tmp_path):
@@ -274,6 +355,30 @@ def test_emit_matches_golden_digests(tmp_path, run):
     paths = emit_metrics(run_scenario(tiny_cfg(scenario, **overrides)), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == TINY_GOLDEN[run]
+
+
+def test_emit_two_digit_consumer_ids(tmp_path):
+    # JSON object keys are strings and sort as strings, so consumer 10's
+    # payment is written before consumer 2's.
+    rec = AllianceRecord(
+        uid=4,
+        created_round=1,
+        participants=[2, 10],
+        shared_labels=[0, 1],
+        contested_owners=[3, 7],
+        value=8,
+        payments={2: 0.5, 10: 0.5},
+        effective_budgets={2: 1.5, 10: 1.5},
+        budget=1.0,
+        synthetic_dc_id=11,
+    )
+    rows = [RoundRow(0, 2, 0.25, 0.5, [3]), RoundRow(0, 10, 0.75, 0.5, [7])]
+    trace = MetricsTrace("fedcdc", 3, rows, [rec], {2: 0.25, 10: 0.75}, {2: 0.5, 10: 0.5})
+    emit_metrics(trace, tmp_path)
+    text = (tmp_path / "alliances.json").read_text()
+    assert text.index('"10": 0.5') < text.index('"2": 0.5')
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "5925d7c44df43e0b0efdaa7f5ceae2e3b64dd6caf490f9d96148584b46ca8f58"
 
 
 def test_summary_contents(tmp_path):
