@@ -26,7 +26,6 @@ from .market import (
     BiddingHistory,
     DataConsumer,
     DataOwner,
-    Matching,
     match_first_price,
     match_random_partition,
     max_bid_matrix,

@@ -1,7 +1,7 @@
 """Market entities, bid recording, and owner-to-consumer matching mechanisms."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,13 +93,6 @@ def max_bid_matrix(history: BiddingHistory) -> np.ndarray:
     return history.window.max(axis=0)
 
 
-@dataclass
-class Matching:
-    """Owner id -> consumer id; an absent owner is unmatched this round."""
-
-    assignment: dict[int, int] = field(default_factory=dict)
-
-
 def default_bids(consumers: Sequence[DataConsumer], owners: Sequence[DataOwner]) -> np.ndarray:
     """Default bidding behavior: ``BID`` on every owner with overlapping labels."""
     bids = np.zeros((len(consumers), len(owners)))
@@ -110,8 +103,8 @@ def default_bids(consumers: Sequence[DataConsumer], owners: Sequence[DataOwner])
     return bids
 
 
-def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> Matching:
-    """Give each owner to one of its bidders, splitting shared owners evenly at random.
+def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> dict[int, int]:
+    """Owner id -> consumer id, splitting shared owners evenly over their bidders at random.
 
     Rows of ``bids`` are consumers and columns owners; a positive entry is a
     bid. An owner with one bidder goes to it; one nobody bids on stays
@@ -141,11 +134,11 @@ def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> Matching:
         for i, row in enumerate(rows):
             for o in order[i * per_row : (i + 1) * per_row]:
                 assignment[int(o)] = row
-    return Matching(assignment)
+    return assignment
 
 
-def match_first_price(bids: np.ndarray, budgets: Mapping[int, float]) -> Matching:
-    """First-price greedy matching: each owner to its highest affordable bidder.
+def match_first_price(bids: np.ndarray, budgets: Mapping[int, float]) -> dict[int, int]:
+    """First-price greedy owner id -> consumer id: each owner to its highest affordable bidder.
 
     Ties go to the lowest consumer index; winners pay their bid out of the
     remaining budget. Owners nobody bids on (affordably) stay unmatched.
@@ -166,4 +159,4 @@ def match_first_price(bids: np.ndarray, budgets: Mapping[int, float]) -> Matchin
         if best_cid >= 0:
             assignment[o] = best_cid
             remaining[best_cid] -= best_bid
-    return Matching(assignment)
+    return assignment

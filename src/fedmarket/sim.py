@@ -117,16 +117,19 @@ class ScenarioConfig:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.matching_period < 1:
-            raise ConfigError("matching_period must be >= 1")
+        # min_shared_owners=0 admits candidates of value 0, which the
+        # max-clique solver would refuse only at the first alliance pass.
+        counts = [(k, getattr(self, k)) for k in (
+            "rounds", "matching_period", "history_span", "samples_per_test", "min_shared_owners"
+        )]
+        counts += [(f"hidden_dims[{i}]", d) for i, d in enumerate(self.hidden_dims)]
+        for key, n in counts:
+            if n < 1:
+                raise ConfigError(f"{key} must be >= 1, got {n}")
         if self.scenario == "fedcdc" and not 0 <= self.alliance_start < self.rounds:
             raise ConfigError(
                 f"alliance_start={self.alliance_start} must fall inside the {self.rounds} rounds"
             )
-        if self.history_span < 1:
-            raise ConfigError("history_span must be >= 1")
         if self.scenario == "fedcdc" and self.history_span > self.matching_period:
             raise ConfigError(
                 f"history_span={self.history_span} exceeds matching_period="
@@ -254,8 +257,8 @@ class AllianceRecord:
     shared_labels: list[int]
     contested_owners: list[int]
     value: int
-    payments: dict[int, float]
-    effective_budgets: dict[int, float]
+    payments: dict[str, float]  # keyed by consumer id as a string, as written
+    effective_budgets: dict[str, float]
     budget: float
     synthetic_dc_id: int
 
@@ -277,7 +280,13 @@ class MetricsTrace:
 
 
 class _Market:
-    """Mutable market state for one scenario run."""
+    """Mutable market state for one scenario run, and the phases of its rounds.
+
+    A consumer participates in alliances once ``expert`` is set: from its
+    first alliance on, it trains ``expert`` on its own owners and distils the
+    alliances' models and ``expert`` into ``model``. Alliance ``k``'s synthetic
+    consumer has id ``len(consumers) + k``, so consumer ids are bid-matrix rows.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -290,10 +299,9 @@ class _Market:
         self.public: UnlabeledDataset = part.public
         self.consumers: list[DataConsumer] = []
         self.test_shards: list[LabeledDataset] = []
-        input_dim = base.dim
         for i, labels in enumerate(part.dc_label_sets):
             model = init_mlp(
-                input_dim,
+                base.dim,
                 cfg.hidden_dims,
                 base.num_classes,
                 labels,
@@ -310,13 +318,124 @@ class _Market:
         self.history = BiddingHistory(cfg.history_span, len(self.consumers), len(self.owners))
         self.alliances: list[Alliance] = []
         self.next_uid = 0
-        self.next_synth_id = len(self.consumers)
-
-    def alliance_participants(self) -> set[int]:
-        return set().union(*(a.candidate.participants for a in self.alliances)) if self.alliances else set()
+        self.recruit: dict[int, list[int]] = {}  # consumer id -> owner ids, per matching
+        self.rows: list[RoundRow] = []
+        self.best_val = {c.id: -1.0 for c in self.consumers}
+        self.best_test = {c.id: 0.0 for c in self.consumers}
 
     def all_consumers(self) -> list[DataConsumer]:
         return self.consumers + [a.consumer for a in self.alliances]
+
+    def form_alliances(self, r: int) -> bool:
+        """Alliance pass; returns whether it formed any alliance.
+
+        It runs in ``fedcdc`` every ``matching_period`` rounds from
+        ``alliance_start``. A new participant's expert starts as a copy of its
+        global model.
+        """
+        cfg = self.cfg
+        since = r - cfg.alliance_start
+        if cfg.scenario != "fedcdc" or since < 0 or since % cfg.matching_period:
+            return False
+        created, self.next_uid = create_alliances(
+            self.consumers,
+            self.owners,
+            self.history,
+            cfg.min_shared_labels,
+            cfg.min_shared_owners,
+            cfg.budget_share,
+            cfg.hidden_dims,
+            np.random.default_rng([cfg.seed, _S_ALLIANCE, r]),
+            existing={a.candidate.key() for a in self.alliances},
+            uid_start=self.next_uid,
+            id_start=len(self.consumers) + len(self.alliances),
+            created_round=r,
+        )
+        self.alliances += created
+        for a in created:
+            for pid in a.candidate.participants:
+                dc = self.consumers[pid]
+                if dc.expert is None:
+                    dc.expert = clone_model(dc.model)
+        return bool(created)
+
+    def bid_and_match(self, r: int, census_changed: bool) -> None:
+        """Bids and matching on one matrix with a row per consumer id.
+
+        Participants abstain from their alliances' contested owners, on which
+        each alliance's row bids instead. The real consumers' rows go to the
+        history. Owners are matched every ``matching_period`` rounds and when
+        the census changed; ``unrestricted`` gives each consumer every owner
+        it bids on.
+        """
+        cfg = self.cfg
+        bids = default_bids(self.all_consumers(), self.owners)
+        for a in self.alliances:
+            contested = sorted(a.candidate.contested)
+            bids[np.ix_(sorted(a.candidate.participants), contested)] = 0.0
+            bids[a.consumer.id] = 0.0
+            bids[a.consumer.id, contested] = BID
+        record_bids(self.history, r, bids[: len(self.consumers)])
+        if r % cfg.matching_period and not census_changed:
+            return
+        if cfg.scenario == "unrestricted":
+            self.recruit = {i: [int(j) for j in np.flatnonzero(b > 0)] for i, b in enumerate(bids)}
+            return
+        if cfg.mechanism == "first_price":
+            assignment = match_first_price(bids, {c.id: c.budget for c in self.all_consumers()})
+        else:
+            assignment = match_random_partition(bids, [cfg.seed, _S_MATCHING, r])
+        self.recruit = {}
+        for oid, cid in sorted(assignment.items()):
+            self.recruit.setdefault(cid, []).append(oid)
+
+    def train_locally(self, r: int) -> None:
+        """Local training: one FL round per consumer and alliance on its recruited owners.
+
+        It updates a participant's expert and everyone else's global model.
+        """
+        cfg = self.cfg
+        for consumer in self.all_consumers():
+            recruited = [self.owners[o] for o in self.recruit.get(consumer.id, [])]
+            rng = np.random.default_rng([cfg.seed, _S_TRAINING, consumer.id, r])
+            trained = run_fl_round(
+                consumer, recruited, cfg.fl, rng, self.public, model=consumer.expert
+            )
+            if consumer.expert is None:
+                consumer.model = trained
+            else:
+                consumer.expert = trained
+            _check_finite(trained, r, consumer.id, "local training")
+
+    def distill(self, r: int) -> None:
+        """Distillation: each participant distils its alliances' models and its
+        expert into its global model, in place."""
+        cfg = self.cfg
+        for consumer in self.consumers:
+            if consumer.expert is None:
+                continue
+            teachers = [
+                a.consumer.model for a in self.alliances if consumer.id in a.candidate.participants
+            ]
+            student = distill_train(
+                consumer.model,
+                TeacherEnsemble([*teachers, consumer.expert], consumer.label_set),
+                self.public,
+                cfg.distill,
+                np.random.default_rng([cfg.seed, _S_DISTILL, consumer.id, r]),
+            )
+            _check_finite(student, r, consumer.id, "distillation")
+
+    def evaluate_round(self, r: int) -> None:
+        """Evaluation of every real consumer's global model on its validation
+        shard, and on its test shard whenever validation reaches a new best."""
+        for c in self.consumers:
+            val = evaluate(c.model, c.validation_shard, c.label_set)
+            if val > self.best_val[c.id]:
+                self.best_val[c.id] = val
+                self.best_test[c.id] = evaluate(c.model, self.test_shards[c.id], c.label_set)
+            recruited = self.recruit.get(c.id, [])
+            self.rows.append(RoundRow(r, c.id, val, self.best_test[c.id], recruited))
 
 
 def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -342,99 +461,16 @@ def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
 def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:
     """Execute the configured scenario round loop; deterministic per seed."""
     market = _Market(cfg)
-    rows: list[RoundRow] = []
-    alliance_records: list[AllianceRecord] = []
-    best_val = {c.id: -1.0 for c in market.consumers}
-    best_test = {c.id: 0.0 for c in market.consumers}
-    recruit: dict[int, list[int]] = {}
-
     for r in range(cfg.rounds):
-        census_changed = False
-        if (
-            cfg.scenario == "fedcdc"
-            and r >= cfg.alliance_start
-            and (r - cfg.alliance_start) % cfg.matching_period == 0
-        ):
-            created, market.next_uid = create_alliances(
-                market.consumers,
-                market.owners,
-                market.history,
-                cfg.min_shared_labels,
-                cfg.min_shared_owners,
-                cfg.budget_share,
-                cfg.hidden_dims,
-                np.random.default_rng([cfg.seed, _S_ALLIANCE, r]),
-                existing={a.candidate.key() for a in market.alliances},
-                uid_start=market.next_uid,
-                id_start=market.next_synth_id,
-                created_round=r,
-            )
-            for a in created:
-                market.alliances.append(a)
-                market.next_synth_id += 1
-                alliance_records.append(_record_of(a))
-                for pid in sorted(a.candidate.participants):
-                    dc = market.consumers[pid]
-                    if dc.expert is None:
-                        dc.expert = clone_model(dc.model)
-                census_changed = True
-
-        # Rows are consumer ids and columns owner ids. Participants abstain
-        # from the owners their alliance recruits instead.
-        bids = default_bids(market.consumers, market.owners)
-        for a in market.alliances:
-            bids[np.ix_(sorted(a.candidate.participants), sorted(a.candidate.contested))] = 0.0
-        record_bids(market.history, r, bids)
-
-        if r % cfg.matching_period == 0 or census_changed:
-            recruit = _match(cfg, market, bids, r)
-
-        participants = market.alliance_participants()
-        for consumer in market.all_consumers():
-            recruited = [market.owners[o] for o in recruit.get(consumer.id, [])]
-            rng = np.random.default_rng([cfg.seed, _S_TRAINING, consumer.id, r])
-            if consumer.id in participants:
-                consumer.expert = trained = run_fl_round(
-                    consumer, recruited, cfg.fl, rng, market.public, model=consumer.expert
-                )
-            else:
-                consumer.model = trained = run_fl_round(
-                    consumer, recruited, cfg.fl, rng, market.public
-                )
-            _check_finite(trained, r, consumer.id, "local training")
-
-        if cfg.scenario == "fedcdc" and participants:
-            for pid in sorted(participants):
-                consumer = market.consumers[pid]
-                teachers = [
-                    a.consumer.model for a in market.alliances if pid in a.candidate.participants
-                ]
-                assert consumer.expert is not None
-                teachers.append(consumer.expert)
-                ensemble = TeacherEnsemble(teachers, consumer.label_set)
-                student = distill_train(
-                    consumer.model,
-                    ensemble,
-                    market.public,
-                    cfg.distill,
-                    np.random.default_rng([cfg.seed, _S_DISTILL, pid, r]),
-                )
-                _check_finite(student, r, pid, "distillation")
-
-        for consumer in market.consumers:
-            val = evaluate(consumer.model, consumer.validation_shard, consumer.label_set)
-            if val > best_val[consumer.id]:
-                best_val[consumer.id] = val
-                best_test[consumer.id] = evaluate(
-                    consumer.model, market.test_shards[consumer.id], consumer.label_set
-                )
-            rows.append(
-                RoundRow(r, consumer.id, val, best_test[consumer.id], recruit.get(consumer.id, []))
-            )
-
-    final_val = {c.id: best_val[c.id] for c in market.consumers}
-    final_test = {c.id: best_test[c.id] for c in market.consumers}
-    return MetricsTrace(cfg.scenario, cfg.seed, rows, alliance_records, final_val, final_test)
+        formed = market.form_alliances(r)
+        market.bid_and_match(r, formed)
+        market.train_locally(r)
+        market.distill(r)
+        market.evaluate_round(r)
+    records = [_record_of(a) for a in market.alliances]
+    return MetricsTrace(
+        cfg.scenario, cfg.seed, market.rows, records, market.best_val, market.best_test
+    )
 
 
 def _check_finite(model: Mlp, round_index: int, consumer_id: int, phase: str) -> None:
@@ -454,38 +490,11 @@ def _record_of(a: Alliance) -> AllianceRecord:
         shared_labels=sorted(a.candidate.shared_labels),
         contested_owners=sorted(a.candidate.contested),
         value=candidate_value(a.candidate),
-        payments=dict(sorted(a.payments.items())),
-        effective_budgets=dict(sorted(a.effective_budgets.items())),
+        payments={str(k): v for k, v in a.payments.items()},
+        effective_budgets={str(k): v for k, v in a.effective_budgets.items()},
         budget=a.budget,
         synthetic_dc_id=a.consumer.id,
     )
-
-
-def _match(
-    cfg: ScenarioConfig, market: _Market, real_bids: np.ndarray, round_index: int
-) -> dict[int, list[int]]:
-    """Per-consumer recruited owner ids for this matching period."""
-    if cfg.scenario == "unrestricted":
-        return {
-            c.id: [o.id for j, o in enumerate(market.owners) if real_bids[i, j] > 0]
-            for i, c in enumerate(market.consumers)
-        }
-
-    # Synthetic consumer ids follow the real ones in alliance order, so each
-    # alliance's bids for its contested owners are the next row.
-    bids = np.zeros((len(market.consumers) + len(market.alliances), len(market.owners)))
-    bids[: len(real_bids)] = real_bids
-    for a in market.alliances:
-        bids[a.consumer.id, sorted(a.candidate.contested)] = BID
-
-    if cfg.mechanism == "first_price":
-        matching = match_first_price(bids, {c.id: c.budget for c in market.all_consumers()})
-    else:
-        matching = match_random_partition(bids, [cfg.seed, _S_MATCHING, round_index])
-    recruit: dict[int, list[int]] = {}
-    for oid, cid in sorted(matching.assignment.items()):
-        recruit.setdefault(cid, []).append(oid)
-    return recruit
 
 
 def emit_metrics(trace: MetricsTrace, out_dir: str | Path) -> list[Path]:
@@ -516,19 +525,7 @@ def emit_metrics(trace: MetricsTrace, out_dir: str | Path) -> list[Path]:
 
     alliances_path = out / "alliances.json"
     alliance_docs = [
-        {
-            "uid": rec.uid,
-            "created_round": rec.created_round,
-            "participants": rec.participants,
-            "shared_labels": rec.shared_labels,
-            "contested_owners": rec.contested_owners,
-            "value": rec.value,
-            "payments": {str(k): v for k, v in rec.payments.items()},
-            "effective_budgets": {str(k): v for k, v in rec.effective_budgets.items()},
-            "budget": rec.budget,
-            "synthetic_dc_id": rec.synthetic_dc_id,
-        }
-        for rec in sorted(trace.alliances, key=lambda rec: rec.uid)
+        dataclasses.asdict(rec) for rec in sorted(trace.alliances, key=lambda rec: rec.uid)
     ]
     alliances_path.write_text(
         json.dumps(alliance_docs, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -31,6 +31,16 @@ def test_benchmark_hooks_resolve():
     assert not missing, f"benchmark hooks no longer resolve: {missing}"
 
 
+def test_benchmark_sim_configs_build():
+    # The benchmark builds its configs from sim's dataclasses by field name,
+    # so a renamed ScenarioConfig or PartitionSizes field fails here too.
+    workloads = _load_workloads()
+    for workload, scenario in workloads.SIM_WORKLOADS.items():
+        for smoke in (True, False):
+            cfg = workloads.sim_config(workload, 0, smoke)
+            assert isinstance(cfg, sim.ScenarioConfig) and cfg.scenario == scenario
+
+
 def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     # A hook that still resolves but is no longer called reads 0 unnoticed;
     # the round probe also needs exactly one default_bids call per round.

@@ -86,21 +86,21 @@ def test_max_bid_dominates_each_round():
 def test_random_partition_counts():
     m = match_random_partition(np.full((3, 6), BID), seed=[1])
     counts = {c: 0 for c in (0, 1, 2)}
-    for owner, consumer in m.assignment.items():
+    for owner, consumer in m.items():
         counts[consumer] += 1
     assert counts == {0: 2, 1: 2, 2: 2}
-    assert set(m.assignment) == {0, 1, 2, 3, 4, 5}
+    assert set(m) == {0, 1, 2, 3, 4, 5}
 
 
 def test_random_partition_deterministic():
     a = match_random_partition(np.full((2, 4), BID), seed=[9])
     b = match_random_partition(np.full((2, 4), BID), seed=[9])
-    assert a.assignment == b.assignment
+    assert a == b
 
 
 def test_random_partition_varies_with_seed():
     results = {
-        tuple(sorted(match_random_partition(np.full((2, 4), BID), seed=[s]).assignment.items()))
+        tuple(sorted(match_random_partition(np.full((2, 4), BID), seed=[s]).items()))
         for s in range(10)
     }
     assert len(results) > 1
@@ -119,14 +119,14 @@ def test_random_partition_rejects_indivisible():
 )
 def test_random_partition_counts_property(n_consumers, per_dc, seed):
     m = match_random_partition(np.full((n_consumers, n_consumers * per_dc), BID), [seed])
-    assert set(m.assignment) == set(range(n_consumers * per_dc))
+    assert set(m) == set(range(n_consumers * per_dc))
     for cid in range(n_consumers):
-        assert sum(c == cid for c in m.assignment.values()) == per_dc
+        assert sum(c == cid for c in m.values()) == per_dc
 
 
 def test_random_partition_each_owner_once():
     m = match_random_partition(np.full((4, 12), BID), seed=[5])
-    assert sorted(m.assignment) == list(range(12))
+    assert sorted(m) == list(range(12))
 
 
 def test_random_partition_splits_each_bidder_set_in_its_own_stream():
@@ -144,36 +144,36 @@ def test_random_partition_splits_each_bidder_set_in_its_own_stream():
         per_row = len(order) // len(rows)
         for i, row in enumerate(rows):
             expected.update({int(o): row for o in order[i * per_row : (i + 1) * per_row]})
-    assert m.assignment == expected
-    assert 11 not in m.assignment
+    assert m == expected
+    assert 11 not in m
 
 
 # ---------------------------------------------------------------- first price
 
 def test_first_price_argmax():
     m = match_first_price(np.array([[3.0], [5.0]]), {0: 10.0, 1: 10.0})
-    assert m.assignment == {0: 1}
+    assert m == {0: 1}
 
 
 def test_first_price_tie_goes_to_lowest_index():
     m = match_first_price(np.array([[4.0], [4.0]]), {0: 10.0, 1: 10.0})
-    assert m.assignment == {0: 0}
+    assert m == {0: 0}
 
 
 def test_first_price_budget_gates_winner():
     m = match_first_price(np.array([[3.0], [5.0]]), {0: 3.0, 1: 4.0})
-    assert m.assignment == {0: 0}
+    assert m == {0: 0}
 
 
 def test_first_price_unaffordable_owner_unmatched():
     m = match_first_price(np.array([[2.0], [0.0]]), {0: 1.0, 1: 0.0})
-    assert m.assignment == {}
+    assert m == {}
 
 
 def test_first_price_budget_depletes_within_call():
     bids = np.array([[2.0, 2.0]])
     m = match_first_price(bids, {0: 3.0})
-    assert m.assignment == {0: 0}  # second owner unaffordable after paying for the first
+    assert m == {0: 0}  # second owner unaffordable after paying for the first
 
 
 # ---------------------------------------------------------------- entities / bids

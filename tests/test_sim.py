@@ -10,6 +10,7 @@ from fedmarket import sim
 from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
 from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
+from fedmarket.market import BID
 from fedmarket.maxclique import WeightedGraph, write_dimacs
 from fedmarket.nn import clone_model
 from fedmarket.sim import (
@@ -116,6 +117,22 @@ def test_config_validation(tmp_path, capsys):
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
+    # Counts and sizes that fail only mid-run are rejected at load, naming the key.
+    for doc, key in [
+        ({"min_shared_owners": 0}, "min_shared_owners must be >= 1, got 0"),
+        ({"hidden_dims": [0]}, r"hidden_dims\[0\] must be >= 1, got 0"),
+        ({"hidden_dims": [64, -3]}, r"hidden_dims\[1\] must be >= 1, got -3"),
+        ({"samples_per_test": 0}, "samples_per_test must be >= 1, got 0"),
+        ({"history_span": 0}, "history_span must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+    ScenarioConfig(min_shared_owners=1, hidden_dims=[1], samples_per_test=1)
+    ScenarioConfig(hidden_dims=[])
+    path = tmp_path / "zero_width.json"
+    path.write_text(json.dumps({"hidden_dims": [0]}))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "error: hidden_dims[0] must be >= 1, got 0" in capsys.readouterr().err
     # An int is a float; null is an absent optional section.
     cfg = config_from_dict({"budget_share": 0, "distill": {"alpha": 1}, "idx": None})
     assert cfg.budget_share == 0 and cfg.distill.alpha == 1 and cfg.idx is None
@@ -176,6 +193,7 @@ def test_fedcdc_forms_single_triple_alliance():
         assert rec.created_round == 2
         assert rec.participants == [0, 1, 2]
         assert rec.value == len(rec.participants) * len(rec.shared_labels) * len(rec.contested_owners)
+        assert list(rec.payments) == list(rec.effective_budgets) == ["0", "1", "2"]
         # after creation the participants abstain from all six shared owners
         shared = set(rec.contested_owners)
         for row in trace.rows:
@@ -213,13 +231,15 @@ def _phase_calls(monkeypatch, cfg, policy=default_policy):
     """Run ``cfg`` counting sim's calls into each round phase's library function.
 
     Also returns, per round, the ids of the consumers whose global model was
-    distilled. The round starts at sim's one ``default_bids`` call, and a
+    distilled, and the first synthetic consumer id each alliance pass was
+    given. The round starts at sim's one ``default_bids`` call, and a
     distilled model is known by the consumer ``run_fl_round`` last saw holding
     it. ``policy`` answers every alliance offer.
     """
     calls: Counter = Counter()
     distilled: list[list[int]] = []
     holders: dict[int, tuple] = {}
+    id_starts: list[int] = []
 
     def start_round(*args):
         distilled.append([])
@@ -240,16 +260,17 @@ def _phase_calls(monkeypatch, cfg, policy=default_policy):
             hooks.get(_name, lambda *a, **k: None)(*args, **kwargs)
             if _name == "create_alliances":
                 kwargs["policy"] = policy
+                id_starts.append(kwargs["id_start"])
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(sim, name, wrapper)
     trace = run_scenario(cfg)
     assert calls.pop("default_bids") == cfg.rounds
-    return calls, distilled, trace
+    return calls, distilled, trace, id_starts
 
 
 def test_phase_call_counts_restricted(monkeypatch):
-    calls, distilled, _ = _phase_calls(monkeypatch, tiny_cfg("restricted"))
+    calls, distilled, _, _ = _phase_calls(monkeypatch, tiny_cfg("restricted"))
     assert dict(calls) == {"run_fl_round": 18, "match_random_partition": 3}
     assert distilled == [[]] * 6
 
@@ -260,13 +281,31 @@ def test_phase_call_counts_fedcdc(monkeypatch, run):
     # each of rounds 2-5; three consumers train in rounds 0-1 and three plus
     # the alliance in rounds 2-5; matching at rounds 0, 2 and 4.
     scenario, overrides = TINY_RUNS[run]
-    calls, distilled, trace = _phase_calls(monkeypatch, tiny_cfg(scenario, **overrides))
+    calls, distilled, trace, id_starts = _phase_calls(monkeypatch, tiny_cfg(scenario, **overrides))
     mechanism = "match_first_price" if overrides else "match_random_partition"
     assert dict(calls) == {
         "create_alliances": 2, "distill_train": 12, "run_fl_round": 22, mechanism: 3
     }
     assert [rec.participants for rec in trace.alliances] == [[0, 1, 2]]
     assert distilled == [[], [], [0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2]]
+    # Synthetic consumer ids follow the real ones, one per alliance formed.
+    assert id_starts == [3, 4]
+
+
+def test_alliance_between_matchings_triggers_one(monkeypatch):
+    # Matchings fall on even rounds; the alliance formed at round 3 gets its
+    # owners through an extra matching at round 3, and the round-5 pass forms
+    # none, so round 5 keeps round 4's matching.
+    cfg = tiny_cfg("fedcdc", alliance_start=3)
+    calls, distilled, trace, id_starts = _phase_calls(monkeypatch, cfg)
+    assert [(rec.created_round, rec.participants) for rec in trace.alliances] == [(3, [0, 1, 2])]
+    assert dict(calls) == {
+        "create_alliances": 2, "distill_train": 9, "run_fl_round": 21, "match_random_partition": 4
+    }
+    assert id_starts == [3, 4]
+    shared = set(trace.alliances[0].contested_owners)
+    for row in trace.rows:
+        assert bool(set(row.recruited) & shared) == (row.round < 3)
 
 
 def test_only_alliance_participants_are_distilled(monkeypatch):
@@ -276,12 +315,52 @@ def test_only_alliance_participants_are_distilled(monkeypatch):
         response = default_policy(consumer, offers)
         return DCResponse(set() if consumer.id == 2 else response.accepted, response.conflicts)
 
-    calls, distilled, trace = _phase_calls(monkeypatch, tiny_cfg("fedcdc"), without_consumer_2)
+    calls, distilled, trace, _ = _phase_calls(monkeypatch, tiny_cfg("fedcdc"), without_consumer_2)
     assert [rec.participants for rec in trace.alliances] == [[0, 1]]
     assert dict(calls) == {
         "create_alliances": 2, "distill_train": 8, "run_fl_round": 22, "match_random_partition": 3
     }
     assert distilled == [[], [], [0, 1], [0, 1], [0, 1], [0, 1]]
+
+
+def test_alliance_rows_bid_only_on_their_contested_owners(monkeypatch):
+    # The round-2 alliance is cut to owners 0-2 of the six shared ones, so its
+    # participants keep bidding on owners 3-5, and the round-4 pass forms a
+    # second alliance of consumers 0 and 1 over those. Each alliance row bids
+    # on its own owners alone, and each participant abstains from its
+    # alliances' owners. First price, because the partition mechanism cannot
+    # split owners 3-5 over consumer 2 and the second alliance.
+    create_alliances = sim.create_alliances
+
+    def first_on_three_owners(*args, **kwargs):
+        created, next_uid = create_alliances(*args, **kwargs)
+        if kwargs["created_round"] == 2:
+            for a in created:
+                a.candidate = dataclasses.replace(a.candidate, contested=frozenset({0, 1, 2}))
+        return created, next_uid
+
+    matched = []
+    match = sim.match_first_price
+
+    def capture(bids, budgets):
+        matched.append(bids.copy())
+        return match(bids, budgets)
+
+    monkeypatch.setattr(sim, "create_alliances", first_on_three_owners)
+    monkeypatch.setattr(sim, "match_first_price", capture)
+    trace = run_scenario(tiny_cfg("fedcdc", **TINY_RUNS["fedcdc-first_price"][1]))
+    assert [
+        (rec.created_round, rec.participants, rec.contested_owners, rec.synthetic_dc_id)
+        for rec in trace.alliances
+    ] == [(2, [0, 1, 2], [0, 1, 2], 3), (4, [0, 1], [3, 4, 5], 4)]
+    assert [b.shape for b in matched] == [(3, 24), (4, 24), (5, 24)]
+    first, second = np.zeros(24), np.zeros(24)
+    first[0:3] = second[3:6] = BID
+    assert (matched[1][3] == first).all() and (matched[2][3] == first).all()
+    assert (matched[2][4] == second).all()
+    assert (matched[1][:3, :3] == 0).all() and (matched[1][:3, 3:6] == BID).all()
+    assert (matched[2][:2, :6] == 0).all()
+    assert (matched[2][2, :3] == 0).all() and (matched[2][2, 3:6] == BID).all()
 
 
 # ---------------------------------------------------------------- metrics files
@@ -367,8 +446,8 @@ def test_emit_two_digit_consumer_ids(tmp_path):
         shared_labels=[0, 1],
         contested_owners=[3, 7],
         value=8,
-        payments={2: 0.5, 10: 0.5},
-        effective_budgets={2: 1.5, 10: 1.5},
+        payments={"2": 0.5, "10": 0.5},
+        effective_budgets={"2": 1.5, "10": 1.5},
         budget=1.0,
         synthetic_dc_id=11,
     )
