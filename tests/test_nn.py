@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from fedmarket.nn import (
     save_model,
     softmax,
     train_step,
+    unstack,
 )
 from fedmarket.data import gen_blobs
 from conftest import cross_entropy, max_grad_rel_error
@@ -287,5 +289,42 @@ def test_load_rejects_foreign_file(tmp_path):
 def test_clone_is_independent():
     m = small_model()
     c = clone_model(m)
+    assert np.array_equal(c.flat, m.flat)
     c.weights[0][0, 0] += 1.0
     assert m.weights[0][0, 0] != c.weights[0][0, 0]
+
+
+# Pinned at the per-layer constructor: building a model from its flat buffer
+# must draw the same weights and write the same checkpoint bytes.
+PIN_INIT_SHA256 = "55e9feccbf1d4130f137af1965b95488f245ab1bce98a68abef4b0585b857a11"
+PIN_CHECKPOINT_SHA256 = "e77b1372ba22b502ba07af5b9f2af89ac3c773fbaf79da20d51ea7a092c7b09e"
+
+
+def _pinned_model():
+    return init_mlp(16, [64, 32], 10, {0, 3, 5, 7}, np.random.default_rng(8))
+
+
+def test_init_mlp_bytes_are_pinned():
+    assert hashlib.sha256(_pinned_model().flat.tobytes()).hexdigest() == PIN_INIT_SHA256
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_pinned_model(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_CHECKPOINT_SHA256
+
+
+def test_unstacked_replicas_are_exact_and_independent():
+    m = small_model(seed=5)
+    source = m.flat.copy()
+    models = unstack(replicate(m, 3))
+    assert len(models) == 3
+    for c in models:
+        assert c.dims == m.dims and c.active_labels == m.active_labels
+        assert c.flat.shape == m.flat.shape and c.flat.tobytes() == source.tobytes()
+    models[1].flat += 1.0
+    models[1].weights[0][0, 0] = 7.0
+    assert models[0].flat.tobytes() == source.tobytes()
+    assert models[2].flat.tobytes() == source.tobytes()
+    assert m.flat.tobytes() == source.tobytes()
+    assert models[1].weights[0][0, 0] == 7.0 and models[1].flat[0] == 7.0
