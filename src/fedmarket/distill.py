@@ -54,29 +54,14 @@ class DistillConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
-@dataclass
-class TeacherEnsemble:
-    """Frozen teachers plus the student's active label set they must cover."""
-
-    teachers: list[Mlp]
-    target_active: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.teachers:
-            raise ValueError("ensemble needs at least one teacher")
-        for t in self.teachers:
-            if not (t.active_labels & self.target_active):
-                raise ValueError("a teacher shares no labels with the student")
-
-
 def distill_train(
     student: Mlp,
-    ensemble: TeacherEnsemble,
+    teachers: Sequence[Mlp],
     public: UnlabeledDataset,
     cfg: DistillConfig,
     rng: np.random.Generator,
 ) -> Mlp:
-    """Train the student against the entropy-weighted ensemble on the public pool.
+    """Train the student against the entropy-weighted ``teachers`` on the public pool.
 
     Teacher weights are recomputed per sample (entropy is input-dependent);
     teachers are never touched. Runs ``cfg.epochs`` shuffled passes and
@@ -84,13 +69,11 @@ def distill_train(
     """
     if len(public) == 0:
         raise ValueError("public distillation set is empty")
-    if ensemble.target_active != student.active_labels:
-        raise ValueError("ensemble target does not match the student's active set")
     if cfg.epochs == 0:
         return student
     distill_epochs(
         student,
-        ensemble.teachers,
+        teachers,
         entropy_weights,
         public,
         cfg.alpha,
@@ -103,8 +86,15 @@ def distill_train(
 
 
 def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> list[np.ndarray]:
-    """Boolean masks over the target positions, one per teacher, True where it is active."""
+    """Boolean masks over the target positions, one per teacher, True where it is active.
+
+    Every target position needs a teacher, and every teacher a target position.
+    """
+    if not teachers:
+        raise ValueError("ensemble needs at least one teacher")
     masks = [t.active_mask[target_index] for t in teachers]
+    if not all(mask.any() for mask in masks):
+        raise ValueError("a teacher shares no labels with the student")
     cover = np.logical_or.reduce(masks)
     if not cover.all():
         orphan = int(target_index[np.flatnonzero(~cover)[0]])
@@ -228,7 +218,7 @@ def distill_epochs(
     p_pool = np.concatenate(
         [teacher_targets(teachers, contrib, x, weighting, target_index) for x in chunks]
     )
-    opt = init_adam(student.parameters(), lr=lr)
+    opt = init_adam(student.flat, lr=lr)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -239,4 +229,4 @@ def distill_epochs(
             dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
             dlogits = np.zeros_like(logits)
             dlogits[:, target_index] = dz / x.shape[0]
-            adam_step(opt, student.parameters(), backward(student, acts, dlogits))
+            adam_step(opt, student.flat, backward(student, acts, dlogits))

@@ -10,7 +10,7 @@ import numpy as np
 from .data import LabeledDataset, UnlabeledDataset
 from .distill import distill_epochs, uniform_weights
 from .market import DataConsumer, DataOwner
-from .nn import Mlp, clone_model, forward, init_adam, replicate, train_step, unstack
+from .nn import Mlp, forward, init_adam, replicate, train_step, unstack
 
 log = logging.getLogger(__name__)
 
@@ -48,9 +48,8 @@ def fedavg_aggregate(local_models: list[tuple[Mlp, int]]) -> Mlp:
     total = float(sum(size for _, size in local_models))
     if total <= 0:
         raise ValueError("shard sizes must sum to a positive number")
-    out = clone_model(first)
-    out.flat[...] = sum((size / total) * m.flat for m, size in local_models)
-    return out
+    flat = sum((size / total) * m.flat for m, size in local_models)
+    return Mlp(list(first.dims), flat, first.active_labels)
 
 
 def local_train(
@@ -84,7 +83,7 @@ def lockstep_train(
     if any(len(s) != n for s in shards):
         raise ValueError("lockstep training needs shards of one size")
     stack = replicate(model, len(shards))
-    opt = init_adam(stack.parameters(), lr=lr)
+    opt = init_adam(stack.flat, lr=lr)
     features = np.stack([s.features for s in shards])
     labels = np.stack([s.labels for s in shards])
     rows = np.arange(len(shards))[:, None]

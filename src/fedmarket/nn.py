@@ -30,19 +30,19 @@ class Mlp:
     output positions this model serves; :func:`forward` forces all other
     positions to ``MASK_SENTINEL`` and they carry exactly zero probability.
 
-    The constructor copies ``weights`` and ``biases`` into one contiguous
-    buffer, ``flat``, and keeps per-layer views into it. Layer ``i`` has
-    shape ``(*lead, d_in, d_out)`` and ``(*lead, d_out)``. An empty ``lead``
-    is one model; ``lead = (M,)`` is a stack of M models of one architecture
-    and one active set, which the forward, backward and Adam kernels here
-    step all at once.
+    ``flat`` is the model: one contiguous ``(*lead, P)`` buffer holding
+    every parameter, which the model takes without copying. ``weights`` and
+    ``biases`` are per-layer views into it, shaped ``(*lead, d_in, d_out)``
+    and ``(*lead, d_out)``. An empty ``lead`` is one model; ``lead = (M,)``
+    is a stack of M models of one architecture and one active set, which the
+    forward, backward and Adam kernels here step all at once.
     """
 
     dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray = field(repr=False)
     active_labels: frozenset[int]
-    flat: np.ndarray = field(init=False, repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2:
@@ -53,12 +53,10 @@ class Mlp:
         bad = [c for c in self.active_labels if not 0 <= c < k]
         if bad:
             raise ValueError(f"active labels {sorted(bad)} outside output range [0, {k})")
-        lead = np.shape(self.weights[0])[:-2]
-        self.flat = np.empty((*lead, _param_count(self.dims)))
-        given = [*self.weights, *self.biases]
+        count = _param_count(self.dims)
+        if self.flat.shape[-1:] != (count,):
+            raise ValueError(f"flat shape {self.flat.shape} does not end in {count} parameters")
         self.weights, self.biases = _layer_views(self.flat, self.dims)
-        for view, src in zip(self.weights + self.biases, given, strict=True):
-            view[...] = src
 
     @property
     def num_classes(self) -> int:
@@ -81,10 +79,6 @@ class Mlp:
     def inactive_index(self) -> np.ndarray:
         """Sorted ids of the masked output positions, read-only."""
         return _frozen(np.flatnonzero(~self.active_mask))
-
-    def parameters(self) -> list[np.ndarray]:
-        """The arrays an optimizer updates: the one flat buffer."""
-        return [self.flat]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -122,35 +116,24 @@ def init_mlp(
 ) -> Mlp:
     """He-initialized MLP with zero biases, deterministic per ``rng`` state."""
     dims = [input_dim, *hidden, num_classes]
-    weights = []
-    biases = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out)))
-        biases.append(np.zeros(d_out))
-    return Mlp(dims, weights, biases, frozenset(active_labels))
+    model = Mlp(dims, np.zeros(_param_count(dims)), frozenset(active_labels))
+    for w in model.weights:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return model
 
 
 def clone_model(model: Mlp) -> Mlp:
-    return Mlp(list(model.dims), model.weights, model.biases, model.active_labels)
+    return Mlp(list(model.dims), model.flat.copy(), model.active_labels)
 
 
 def replicate(model: Mlp, copies: int) -> Mlp:
     """A stack of ``copies`` independent copies of one model."""
-    return Mlp(
-        list(model.dims),
-        [np.broadcast_to(w, (copies, *w.shape)) for w in model.weights],
-        [np.broadcast_to(b, (copies, *b.shape)) for b in model.biases],
-        model.active_labels,
-    )
+    return Mlp(list(model.dims), np.tile(model.flat, (copies, 1)), model.active_labels)
 
 
 def unstack(stack: Mlp) -> list[Mlp]:
     """The models of a stack, each copied out into its own buffer."""
-    return [
-        Mlp(list(stack.dims), [w[i] for w in stack.weights], [b[i] for b in stack.biases],
-            stack.active_labels)
-        for i in range(stack.flat.shape[0])
-    ]
+    return [Mlp(list(stack.dims), row.copy(), stack.active_labels) for row in stack.flat]
 
 
 def forward(model: Mlp, batch: np.ndarray) -> np.ndarray:
@@ -184,7 +167,7 @@ def forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.n
     return h, acts
 
 
-def backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> list[np.ndarray]:
+def backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
     """Parameter gradients given dL/dlogits, as one buffer shaped like ``model.flat``.
 
     ``dlogits`` must already be zero at inactive columns; the mask is a
@@ -198,7 +181,7 @@ def backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> list[np
         delta.sum(axis=-2, out=grads_b[i])
         if i > 0:
             delta = (delta @ model.weights[i].swapaxes(-1, -2)) * (acts[i] > 0.0)
-    return [grad]
+    return grad
 
 
 def softmax(logits: np.ndarray, index: np.ndarray | slice) -> np.ndarray:
@@ -229,60 +212,56 @@ def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments, work buffers and hyperparameters."""
+    """Moments, two work buffers and hyperparameters for one parameter array."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray = field(repr=False)
+    denom: np.ndarray = field(repr=False)
     step: int = 0
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    buffers: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
 
-def init_adam(params: list[np.ndarray], lr: float = 0.001) -> AdamState:
+def init_adam(param: np.ndarray, lr: float = 0.001) -> AdamState:
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        np.zeros_like(param), np.zeros_like(param), np.empty_like(param), np.empty_like(param),
         lr=lr,
-        buffers=[(np.empty_like(p), np.empty_like(p)) for p in params],
     )
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One bias-corrected Adam update, applied to ``params`` in place.
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update, applied to ``param`` in place.
 
-    Runs in place on the moments and two work buffers per parameter; the
-    operations and their order are those of the textbook update
+    Runs in place on the moments and the two work buffers; the operations
+    and their order are those of the textbook update
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are the same bits.
     """
-    if len(grads) != len(params):
-        raise ValueError("gradient count does not match parameter count")
+    if grad.shape != param.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match parameter shape {param.shape}"
+        )
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v, (s, d) in zip(
-        params, grads, state.m, state.v, state.buffers, strict=True
-    ):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=s)
-        m += s
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=s)
-        s *= g
-        v += s
-        np.divide(m, 1.0 - b1**t, out=s)
-        s *= state.lr
-        np.divide(v, 1.0 - b2**t, out=d)
-        np.sqrt(d, out=d)
-        d += state.epsilon
-        s /= d
-        p -= s
-    return params
+    m, v, s, d = state.m, state.v, state.scratch, state.denom
+    m *= b1
+    np.multiply(grad, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(grad, 1.0 - b2, out=s)
+    s *= grad
+    v += s
+    np.divide(m, 1.0 - b1**t, out=s)
+    s *= state.lr
+    np.divide(v, 1.0 - b2**t, out=d)
+    np.sqrt(d, out=d)
+    d += state.epsilon
+    s /= d
+    param -= s
 
 
 def cross_entropy_grad(
@@ -318,8 +297,7 @@ def train_step(
         raise ValueError(f"labels {sorted(outside)} outside the model's active set")
     logits, acts = forward_cached(model, batch)
     loss, dlogits = cross_entropy_grad(model, logits, y)
-    grads = backward(model, acts, dlogits)
-    adam_step(opt, model.parameters(), grads)
+    adam_step(opt, model.flat, backward(model, acts, dlogits))
     return loss
 
 
@@ -348,9 +326,10 @@ def load_model(path: str | Path) -> Mlp:
     if doc.get("format") != "fedmarket-mlp":
         raise ValueError(f"{path}: not a fedmarket-mlp checkpoint")
     dims = [int(d) for d in doc["dims"]]
-    weights = []
-    biases = []
-    for (d_in, d_out), layer in zip(zip(dims[:-1], dims[1:]), doc["layers"]):
-        weights.append(np.array(layer["w"], dtype=float).reshape(d_in, d_out))
-        biases.append(np.array(layer["b"], dtype=float))
-    return Mlp(dims, weights, biases, frozenset(int(c) for c in doc["active_labels"]))
+    model = Mlp(dims, np.zeros(_param_count(dims)), frozenset(int(c) for c in doc["active_labels"]))
+    layers = doc["layers"]
+    # Each layer must fill its own view, so a misshapen layer is rejected.
+    given = [layer["w"] for layer in layers] + [layer["b"] for layer in layers]
+    for view, values in zip(model.weights + model.biases, given, strict=True):
+        view[...] = np.reshape(values, view.shape)
+    return model

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .data import (
     split_per_class,
     take_class_balanced,
 )
-from .distill import DistillConfig, TeacherEnsemble, distill_train
+from .distill import DistillConfig, distill_train
 from .errors import ConfigError
 from .fed import FLRoundConfig, evaluate, run_fl_round
 from .market import (
@@ -137,6 +138,10 @@ class ScenarioConfig:
                 f"still be in the window at the next creation pass and propose stale "
                 f"sub-coalitions"
             )
+        for key in ("budget_share", "dc_budget"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if self.mechanism == "first_price" and self.dc_budget < BID:
             raise ConfigError(
                 f"dc_budget={self.dc_budget} is below the first_price bid of "
@@ -419,7 +424,7 @@ class _Market:
             ]
             student = distill_train(
                 consumer.model,
-                TeacherEnsemble([*teachers, consumer.expert], consumer.label_set),
+                [*teachers, consumer.expert],
                 self.public,
                 cfg.distill,
                 np.random.default_rng([cfg.seed, _S_DISTILL, consumer.id, r]),

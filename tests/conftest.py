@@ -111,19 +111,16 @@ def max_grad_rel_error(model, x, loss_grad, h=1e-4):
     """
     logits, acts = forward_cached(model, x)
     _, dlogits = loss_grad(logits)
-    grads = backward(model, acts, dlogits)
+    p, g = model.flat, backward(model, acts, dlogits)
     worst = 0.0
-    for p, g in zip(model.parameters(), grads):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            lp = loss_grad(forward(model, x))[0]
-            p[idx] = orig - h
-            lm = loss_grad(forward(model, x))[0]
-            p[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6)
-            worst = max(worst, rel)
+    for idx in np.ndindex(p.shape):
+        orig = p[idx]
+        p[idx] = orig + h
+        lp = loss_grad(forward(model, x))[0]
+        p[idx] = orig - h
+        lm = loss_grad(forward(model, x))[0]
+        p[idx] = orig
+        fd = (lp - lm) / (2 * h)
+        rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6)
+        worst = max(worst, rel)
     return worst

@@ -15,7 +15,7 @@ import pytest
 from fedmarket.alliances import candidate_value, enumerate_candidates, offer_and_collect, select_alliances
 from fedmarket.cli import main as cli_main
 from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
-from fedmarket.distill import DistillConfig, TeacherEnsemble, distill_loss, distill_train, entropy_weights
+from fedmarket.distill import DistillConfig, distill_loss, distill_train, entropy_weights
 from fedmarket.fed import evaluate, fedavg_aggregate
 from fedmarket.maxclique import WeightedGraph, brute_force, solve
 from fedmarket.nn import init_adam, init_mlp, kl_div, softmax, train_step
@@ -161,15 +161,9 @@ def test_criterion_7_fedavg_identity():
     a = init_mlp(4, [6], 3, {0, 1, 2}, np.random.default_rng(2))
     b = init_mlp(4, [6], 3, {0, 1, 2}, np.random.default_rng(3))
     equal = fedavg_aggregate([(a, 500), (b, 500)])
-    worst_equal = max(
-        float(np.abs(pe - (pa + pb) / 2).max())
-        for pa, pb, pe in zip(a.parameters(), b.parameters(), equal.parameters())
-    )
+    worst_equal = float(np.abs(equal.flat - (a.flat + b.flat) / 2).max())
     weighted = fedavg_aggregate([(a, 1000), (b, 3000)])
-    worst_weighted = max(
-        float(np.abs(pw - (0.25 * pa + 0.75 * pb)).max())
-        for pa, pb, pw in zip(a.parameters(), b.parameters(), weighted.parameters())
-    )
+    worst_weighted = float(np.abs(weighted.flat - (0.25 * a.flat + 0.75 * b.flat)).max())
     assert worst_equal <= 1e-12
     assert worst_weighted <= 1e-12
     print(
@@ -226,7 +220,7 @@ def test_criterion_9_knowledge_transfer():
     public = UnlabeledDataset(pub_labeled.features)
 
     teacher = init_mlp(16, [64, 32], 4, {0, 1, 2, 3}, np.random.default_rng(32))
-    opt = init_adam(teacher.parameters(), lr=0.001)
+    opt = init_adam(teacher.flat, lr=0.001)
     rng = np.random.default_rng(33)
     for _ in range(5):
         order = rng.permutation(len(train))
@@ -239,7 +233,7 @@ def test_criterion_9_knowledge_transfer():
     cfg = DistillConfig(alpha=1.0, epochs=10, batch_size=32, lr=0.001)
     distill_train(
         student,
-        TeacherEnsemble([teacher], student.active_labels),
+        [teacher],
         public,
         cfg,
         np.random.default_rng(35),

@@ -8,7 +8,6 @@ from fedmarket import distill
 from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
 from fedmarket.distill import (
     DistillConfig,
-    TeacherEnsemble,
     combine_teachers,
     contributor_masks,
     distill_epochs,
@@ -132,6 +131,15 @@ def test_ensemble_orphan_class_rejected():
         contributor_masks([a], np.arange(3))
 
 
+def test_ensemble_needs_teachers_that_share_a_label():
+    a = init_mlp(2, [3], 4, {0, 1}, np.random.default_rng(0))
+    b = init_mlp(2, [3], 4, {3}, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="at least one teacher"):
+        contributor_masks([], np.arange(2))
+    with pytest.raises(ValueError, match="shares no labels"):
+        contributor_masks([a, b], np.arange(2))
+
+
 # ---------------------------------------------------------------- loss
 
 def test_loss_zero_when_student_matches_teacher():
@@ -210,7 +218,7 @@ def _blob_setup(seed=0):
 
 def _train_teacher(train, seed=1, steps=400):
     model = init_mlp(train.dim, [16], train.num_classes, set(range(train.num_classes)), np.random.default_rng(seed))
-    opt = init_adam(model.parameters(), lr=0.005)
+    opt = init_adam(model.flat, lr=0.005)
     rng = np.random.default_rng(seed + 1)
     for _ in range(steps):
         sel = rng.integers(0, len(train), 32)
@@ -222,24 +230,20 @@ def test_distill_fixed_point_keeps_student():
     train, _, pub = _blob_setup()
     teacher = _train_teacher(train)
     student = clone_model(teacher)
-    before = [p.copy() for p in student.parameters()]
+    before = student.flat.copy()
     cfg = DistillConfig(alpha=1.0, epochs=1, batch_size=32, lr=0.001)
-    distill_train(student, TeacherEnsemble([teacher], teacher.active_labels), pub, cfg,
-                  np.random.default_rng(0))
-    for b, a in zip(before, student.parameters()):
-        assert np.allclose(b, a, atol=1e-9)
+    distill_train(student, [teacher], pub, cfg, np.random.default_rng(0))
+    assert np.allclose(before, student.flat, atol=1e-9)
 
 
 def test_distill_zero_epochs_noop():
     train, _, pub = _blob_setup()
     teacher = _train_teacher(train)
     student = init_mlp(train.dim, [16], 4, {0, 1, 2, 3}, np.random.default_rng(5))
-    before = [p.copy() for p in student.parameters()]
+    before = student.flat.copy()
     cfg = DistillConfig(alpha=1.0, epochs=0)
-    distill_train(student, TeacherEnsemble([teacher], student.active_labels), pub, cfg,
-                  np.random.default_rng(0))
-    for b, a in zip(before, student.parameters()):
-        assert np.array_equal(b, a)
+    distill_train(student, [teacher], pub, cfg, np.random.default_rng(0))
+    assert np.array_equal(before, student.flat)
 
 
 def test_distill_transfers_knowledge():
@@ -248,8 +252,7 @@ def test_distill_transfers_knowledge():
     t_acc = evaluate(teacher, val, teacher.active_labels)
     student = init_mlp(train.dim, [16], 4, {0, 1, 2, 3}, np.random.default_rng(6))
     cfg = DistillConfig(alpha=1.0, epochs=10, batch_size=32, lr=0.001)
-    distill_train(student, TeacherEnsemble([teacher], student.active_labels), pub, cfg,
-                  np.random.default_rng(7))
+    distill_train(student, [teacher], pub, cfg, np.random.default_rng(7))
     s_acc = evaluate(student, val, student.active_labels)
     assert s_acc >= t_acc - 0.03
 
@@ -257,16 +260,11 @@ def test_distill_transfers_knowledge():
 def test_distill_never_touches_teachers():
     train, _, pub = _blob_setup(seed=8)
     teacher = _train_teacher(train, seed=9, steps=100)
-    digest_before = hashlib.sha256(
-        b"".join(p.tobytes() for p in teacher.parameters())
-    ).hexdigest()
+    digest_before = hashlib.sha256(teacher.flat.tobytes()).hexdigest()
     student = init_mlp(train.dim, [16], 4, {0, 1, 2, 3}, np.random.default_rng(10))
     cfg = DistillConfig(alpha=0.5, epochs=2, batch_size=64, lr=0.001)
-    distill_train(student, TeacherEnsemble([teacher], student.active_labels), pub, cfg,
-                  np.random.default_rng(11))
-    digest_after = hashlib.sha256(
-        b"".join(p.tobytes() for p in teacher.parameters())
-    ).hexdigest()
+    distill_train(student, [teacher], pub, cfg, np.random.default_rng(11))
+    digest_after = hashlib.sha256(teacher.flat.tobytes()).hexdigest()
     assert digest_before == digest_after
 
 
@@ -284,8 +282,7 @@ def test_distill_alpha_half_overlapping_teachers_digest():
     ]
     student = init_mlp(6, [8], 5, {0, 1, 2, 3}, np.random.default_rng(43))
     cfg = DistillConfig(alpha=0.5, epochs=2, batch_size=32, lr=0.01)
-    distill_train(student, TeacherEnsemble(teachers, student.active_labels), pub, cfg,
-                  np.random.default_rng(44))
+    distill_train(student, teachers, pub, cfg, np.random.default_rng(44))
     assert hashlib.sha256(student.flat.tobytes()).hexdigest() == ALPHA_HALF_DIGEST
 
 
@@ -320,7 +317,7 @@ def _oracle_distill_epochs(student, teachers, weighting, public, alpha, epochs, 
     """Per-batch reference: recompute the teachers' targets for every batch of every epoch."""
     target_index = student.active_index
     contrib = contributor_masks(teachers, target_index)
-    opt = init_adam(student.parameters(), lr=lr)
+    opt = init_adam(student.flat, lr=lr)
     n = len(public)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -331,7 +328,7 @@ def _oracle_distill_epochs(student, teachers, weighting, public, alpha, epochs, 
             dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
             dlogits = np.zeros_like(logits)
             dlogits[:, target_index] = dz / x.shape[0]
-            adam_step(opt, student.parameters(), backward(student, acts, dlogits))
+            adam_step(opt, student.flat, backward(student, acts, dlogits))
 
 
 @pytest.mark.parametrize("weighting", [entropy_weights, uniform_weights])
@@ -387,5 +384,7 @@ def test_config_validation():
     for lr in (0.0, -0.001, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             DistillConfig(lr=lr)
+    student = init_mlp(2, [], 3, {0, 1}, np.random.default_rng(0))
+    pub = UnlabeledDataset(np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        TeacherEnsemble([], frozenset({0}))
+        distill_train(student, [], pub, DistillConfig(), np.random.default_rng(0))

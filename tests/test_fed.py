@@ -31,30 +31,26 @@ def model_with(seed, dims=(4, 6, 3), active=None):
 def test_fedavg_equal_sizes_is_mean():
     a, b = model_with(0), model_with(1)
     out = fedavg_aggregate([(a, 100), (b, 100)])
-    for pa, pb, po in zip(a.parameters(), b.parameters(), out.parameters()):
-        assert np.abs(po - (pa + pb) / 2).max() < 1e-12
+    assert np.abs(out.flat - (a.flat + b.flat) / 2).max() < 1e-12
 
 
 def test_fedavg_single_model_identity():
     a = model_with(2)
     out = fedavg_aggregate([(a, 10)])
-    for pa, po in zip(a.parameters(), out.parameters()):
-        assert np.array_equal(pa, po)
+    assert np.array_equal(a.flat, out.flat)
 
 
 def test_fedavg_shard_weighted_blend():
     a, b = model_with(3), model_with(4)
     out = fedavg_aggregate([(a, 1000), (b, 3000)])
-    for pa, pb, po in zip(a.parameters(), b.parameters(), out.parameters()):
-        assert np.abs(po - (0.25 * pa + 0.75 * pb)).max() < 1e-12
+    assert np.abs(out.flat - (0.25 * a.flat + 0.75 * b.flat)).max() < 1e-12
 
 
 def test_fedavg_weights_match_rational_arithmetic():
     # integer parameters make the float blend exactly representable
     def int_model(fill):
         m = model_with(0)
-        for p in m.parameters():
-            p[:] = fill
+        m.flat[:] = fill
         return m
 
     a, b = int_model(1.0), int_model(5.0)
@@ -66,8 +62,7 @@ def test_fedavg_weights_match_rational_arithmetic():
 def test_fedavg_identical_models_unchanged():
     a = model_with(5)
     out = fedavg_aggregate([(a, 7), (clone_model(a), 13), (clone_model(a), 1)])
-    for pa, po in zip(a.parameters(), out.parameters()):
-        assert np.abs(po - pa).max() < 1e-12
+    assert np.abs(out.flat - a.flat).max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,9 +71,8 @@ def test_fedavg_is_convex_combination(sizes):
     models = [model_with(i) for i in range(len(sizes))]
     out = fedavg_aggregate(list(zip(models, sizes)))
     total = sum(sizes)
-    for idx, po in enumerate(out.parameters()):
-        expected = sum((s / total) * m.parameters()[idx] for m, s in zip(models, sizes))
-        assert np.abs(po - expected).max() < 1e-12
+    expected = sum((s / total) * m.flat for m, s in zip(models, sizes))
+    assert np.abs(out.flat - expected).max() < 1e-12
 
 
 def test_fedavg_architecture_mismatch_rejected():
@@ -123,8 +117,7 @@ def test_single_owner_round_equals_local_training():
     manual = local_train(
         model, ds, 2, 16, cfg.lr, np.random.default_rng(42).spawn(1)[0]
     )
-    for a, b in zip(out.parameters(), manual.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(out.flat, manual.flat)
 
 
 def _sequential_round(model, owners, cfg, rng):
@@ -133,7 +126,7 @@ def _sequential_round(model, owners, cfg, rng):
     trained = []
     for owner, orng in zip(ordered, rng.spawn(len(ordered))):
         local = clone_model(model)
-        opt = init_adam(local.parameters(), lr=cfg.lr)
+        opt = init_adam(local.flat, lr=cfg.lr)
         shard = owner.train_shard
         for _ in range(cfg.local_epochs):
             order = orng.permutation(len(shard))
@@ -177,12 +170,11 @@ def test_empty_owner_set_starves(caplog):
     ds = gen_blobs(3, 4, 30, 1.0, 1)
     model = model_with(2)
     consumer = _consumer(model, ds)
-    before = [p.copy() for p in model.parameters()]
+    before = model.flat.copy()
     with caplog.at_level(logging.WARNING):
         out = run_fl_round(consumer, [], FLRoundConfig(), np.random.default_rng(0))
     assert out is model
-    for b, a in zip(before, out.parameters()):
-        assert np.array_equal(b, a)
+    assert np.array_equal(before, out.flat)
     assert any("starved" in rec.message for rec in caplog.records)
 
 
@@ -196,8 +188,7 @@ def test_round_is_bit_reproducible():
         return run_fl_round(consumer, owners, cfg, np.random.default_rng(7))
 
     a, b = run(), run()
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_iid_split_matches_pooled_training():
@@ -249,8 +240,7 @@ def test_feddf_duplicate_teachers_match_single():
     one = feddf_round(g, [(local, 10)], pub, cfg, np.random.default_rng(15))
     two = feddf_round(g, [(local, 10), (clone_model(local), 10)], pub, cfg,
                       np.random.default_rng(15))
-    for a, b in zip(one.parameters(), two.parameters()):
-        assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(one.flat, two.flat, atol=1e-12)
 
 
 # SHA-256 of the student's parameters after the FedDF round below; the
@@ -292,9 +282,8 @@ def test_feddf_requires_public_set():
 def _perfect_model(means, scale=1.0):
     # one linear layer whose logits are inner products with the class means
     k, d = means.shape
-    weights = [means.T * scale]
-    biases = [np.zeros(k)]
-    return Mlp([d, k], weights, biases, frozenset(range(k)))
+    flat = np.concatenate([(means.T * scale).ravel(), np.zeros(k)])
+    return Mlp([d, k], flat, frozenset(range(k)))
 
 
 def test_evaluate_perfect_model_scores_one():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -158,46 +159,52 @@ def test_forward_dim_mismatch_rejected():
 
 def test_model_requires_nonempty_active_set():
     with pytest.raises(ValueError):
-        Mlp([2, 2], [np.zeros((2, 2))], [np.zeros(2)], frozenset())
+        Mlp([2, 2], np.zeros(6), frozenset())
+
+
+def test_model_requires_a_buffer_of_its_parameter_count():
+    for shape in [(5,), (2, 7), ()]:
+        with pytest.raises(ValueError, match="6 parameters"):
+            Mlp([2, 2], np.zeros(shape), frozenset({0}))
+    stack = Mlp([2, 2], np.zeros((3, 6)), frozenset({0}))
+    assert stack.weights[0].shape == (3, 2, 2) and stack.biases[0].shape == (3, 2)
 
 
 # ---------------------------------------------------------------- adam
 
-def test_adam_zero_gradient_keeps_parameters():
+def test_adam_zero_gradient_keeps_parameter_buffer():
     m = small_model()
-    params = m.parameters()
-    before = [p.copy() for p in params]
-    st_ = init_adam(params, lr=0.01)
-    adam_step(st_, params, [np.zeros_like(p) for p in params])
-    for b, a in zip(before, params):
-        assert np.array_equal(b, a)
+    before = m.flat.copy()
+    st_ = init_adam(m.flat, lr=0.01)
+    adam_step(st_, m.flat, np.zeros_like(m.flat))
+    assert np.array_equal(before, m.flat)
 
 
 def test_adam_first_step_magnitude_is_lr():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     st_ = init_adam(p, lr=0.001)
-    adam_step(st_, p, [np.array([0.3, -0.7])])
-    delta = np.abs(p[0] - np.array([1.0, -2.0]))
+    adam_step(st_, p, np.array([0.3, -0.7]))
+    delta = np.abs(p - np.array([1.0, -2.0]))
     # bias-corrected first step moves each coordinate by ~lr * sign(g)
     assert np.allclose(delta, 0.001, atol=1e-6)
 
 
 def test_adam_deterministic():
     def run():
-        p = [np.array([0.5, 0.5])]
+        p = np.array([0.5, 0.5])
         st_ = init_adam(p, lr=0.01)
         for _ in range(5):
-            adam_step(st_, p, [np.array([0.1, -0.2])])
-        return p[0]
+            adam_step(st_, p, np.array([0.1, -0.2]))
+        return p
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_shape_mismatch_rejected():
-    p = [np.zeros(3)]
+    p = np.zeros(3)
     st_ = init_adam(p)
     with pytest.raises(ValueError):
-        adam_step(st_, p, [np.zeros(4)])
+        adam_step(st_, p, np.zeros(4))
 
 
 # ---------------------------------------------------------------- training
@@ -205,7 +212,7 @@ def test_adam_shape_mismatch_rejected():
 def test_train_step_learns_separable_blobs():
     ds = gen_blobs(2, 4, 100, 0.5, 7)
     m = init_mlp(4, [16], 2, {0, 1}, np.random.default_rng(1))
-    opt = init_adam(m.parameters(), lr=0.01)
+    opt = init_adam(m.flat, lr=0.01)
     rng = np.random.default_rng(2)
     for _ in range(200):
         sel = rng.integers(0, len(ds), 32)
@@ -218,7 +225,7 @@ def test_initial_loss_is_uniform_baseline():
     m = init_mlp(4, [6], 4, {0, 1, 2, 3}, np.random.default_rng(0))
     for w in m.weights:
         w[:] = 0.0
-    opt = init_adam(m.parameters())
+    opt = init_adam(m.flat)
     x = np.random.default_rng(1).normal(size=(8, 4))
     y = np.array([0, 1, 2, 3] * 2)
     loss = train_step(m, opt, x, y)
@@ -227,7 +234,7 @@ def test_initial_loss_is_uniform_baseline():
 
 def test_train_step_rejects_labels_outside_active_set():
     m = init_mlp(4, [6], 4, {0, 1}, np.random.default_rng(0))
-    opt = init_adam(m.parameters())
+    opt = init_adam(m.flat)
     with pytest.raises(ValueError, match=r"labels \[3\]"):
         train_step(m, opt, np.zeros((2, 4)), np.array([0, 3]))
     for bad in (4, -1):  # outside [0, K) as well
@@ -235,13 +242,13 @@ def test_train_step_rejects_labels_outside_active_set():
             train_step(m, opt, np.zeros((2, 4)), np.array([bad, 1]))
     stack = replicate(m, 2)
     with pytest.raises(ValueError, match=r"labels \[2\]"):
-        train_step(stack, init_adam(stack.parameters()), np.zeros((2, 3, 4)),
+        train_step(stack, init_adam(stack.flat), np.zeros((2, 3, 4)),
                    np.array([[0, 1, 1], [1, 2, 0]]))
 
 
 def test_repeated_batch_loss_decreases():
     m = small_model(seed=5)
-    opt = init_adam(m.parameters(), lr=0.01)
+    opt = init_adam(m.flat, lr=0.01)
     x = np.random.default_rng(6).normal(size=(16, 4))
     y = np.random.default_rng(7).integers(0, 3, 16)
     losses = [train_step(m, opt, x, y) for _ in range(10)]
@@ -275,13 +282,23 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_model(path)
     assert loaded.dims == m.dims
     assert loaded.active_labels == m.active_labels
-    for a, b in zip(m.parameters(), loaded.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(m.flat, loaded.flat)
 
 
 def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"format": "something-else"}')
+    with pytest.raises(ValueError):
+        load_model(path)
+    # One weight moved from the second layer to the first keeps the total count.
+    save_model(init_mlp(2, [3], 2, {0, 1}, np.random.default_rng(0)), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["w"].append(doc["layers"][1]["w"].pop())
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_model(path)
+    doc["layers"].pop()
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(path)
 
@@ -317,11 +334,13 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
 def test_unstacked_replicas_are_exact_and_independent():
     m = small_model(seed=5)
     source = m.flat.copy()
-    models = unstack(replicate(m, 3))
+    stack = replicate(m, 3)
+    models = unstack(stack)
     assert len(models) == 3
     for c in models:
         assert c.dims == m.dims and c.active_labels == m.active_labels
         assert c.flat.shape == m.flat.shape and c.flat.tobytes() == source.tobytes()
+    stack.flat[...] = 0.0  # neither the source nor the unstacked models see the stack
     models[1].flat += 1.0
     models[1].weights[0][0, 0] = 7.0
     assert models[0].flat.tobytes() == source.tobytes()

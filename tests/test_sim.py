@@ -124,6 +124,8 @@ def test_config_validation(tmp_path, capsys):
         ({"hidden_dims": [64, -3]}, r"hidden_dims\[1\] must be >= 1, got -3"),
         ({"samples_per_test": 0}, "samples_per_test must be >= 1, got 0"),
         ({"history_span": 0}, "history_span must be >= 1, got 0"),
+        ({"budget_share": -1.0}, "budget_share must be finite and >= 0, got -1.0"),
+        ({"dc_budget": -1.0}, "dc_budget must be finite and >= 0, got -1.0"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
@@ -133,6 +135,16 @@ def test_config_validation(tmp_path, capsys):
     path.write_text(json.dumps({"hidden_dims": [0]}))
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "error: hidden_dims[0] must be >= 1, got 0" in capsys.readouterr().err
+    # A negative budget used to fail mid-run, naming a consumer instead of the key.
+    for key in ("budget_share", "dc_budget"):
+        with pytest.raises(ConfigError, match=f"{key} must be finite and >= 0, got inf"):
+            ScenarioConfig(**{key: float("inf")})
+        with pytest.raises(ConfigError, match=f"{key} must be finite and >= 0, got nan"):
+            ScenarioConfig(**{key: float("nan")})
+        path = tmp_path / f"negative_{key}.json"
+        path.write_text(json.dumps({key: -1.0}))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key} must be finite and >= 0, got -1.0" in capsys.readouterr().err
     # An int is a float; null is an absent optional section.
     cfg = config_from_dict({"budget_share": 0, "distill": {"alpha": 1}, "idx": None})
     assert cfg.budget_share == 0 and cfg.distill.alpha == 1 and cfg.idx is None
