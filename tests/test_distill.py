@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedmarket import distill
-from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
+from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs, split_per_class
 from fedmarket.distill import (
     DistillConfig,
     combine_teachers,
@@ -28,8 +28,10 @@ from fedmarket.nn import (
     forward_cached,
     init_adam,
     init_mlp,
+    replicate,
     softmax,
     train_step,
+    unstack,
 )
 
 from conftest import max_grad_rel_error
@@ -388,3 +390,80 @@ def test_config_validation():
     pub = UnlabeledDataset(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         distill_train(student, [], pub, DistillConfig(), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------- inactive outputs
+
+PIN_ACTIVE = frozenset({0, 2, 3, 7})  # of K = 10
+
+
+def _noised_inactive(model, seed):
+    """A copy of ``model`` whose output weights and biases at inactive labels are N(0, 5) noise."""
+    out = clone_model(model)
+    idx = np.setdiff1d(np.arange(model.num_classes), model.active_index)
+    rng = np.random.default_rng(seed)
+    out.weights[-1][..., idx] = rng.normal(0.0, 5.0, size=out.weights[-1][..., idx].shape)
+    out.biases[-1][..., idx] = rng.normal(0.0, 5.0, size=idx.size)
+    return out
+
+
+def _active_part(model):
+    """Every hidden parameter and the output parameters at the active labels, in one vector."""
+    idx = model.active_index
+    hidden = [a.ravel() for a in model.weights[:-1] + model.biases[:-1]]
+    return np.concatenate([*hidden, model.weights[-1][..., idx].ravel(), model.biases[-1][idx]])
+
+
+def _inactive_part(model):
+    idx = np.setdiff1d(np.arange(model.num_classes), model.active_index)
+    return np.concatenate([model.weights[-1][..., idx].ravel(), model.biases[-1][idx]])
+
+
+def test_inactive_outputs_take_no_part():
+    data = gen_blobs(10, 8, 60, 1.0, 70)
+    keep = np.isin(data.labels, sorted(PIN_ACTIVE))
+    x, y = data.features[keep], data.labels[keep]
+    base = init_mlp(8, [12], 10, PIN_ACTIVE, np.random.default_rng(71))
+    noised = _noised_inactive(base, 72)
+    assert not np.array_equal(_inactive_part(base), _inactive_part(noised))
+    assert np.array_equal(_active_part(base), _active_part(noised))
+
+    # Local training, on one-model stacks as lockstep training runs it.
+    trained = []
+    for model in (base, noised):
+        stack = replicate(model, 1)
+        opt = init_adam(stack.flat, lr=0.01)
+        rng = np.random.default_rng(73)
+        losses = []
+        for _ in range(5):
+            sel = rng.integers(0, len(y), 32)
+            losses.append(train_step(stack, opt, x[sel][None], y[sel][None]))
+        trained.append((unstack(stack)[0], np.concatenate(losses)))
+    (a, loss_a), (b, loss_b) = trained
+    assert np.array_equal(loss_a, loss_b)
+    assert np.array_equal(_active_part(a), _active_part(b))
+    assert not np.array_equal(_active_part(a), _active_part(base))  # it trained
+    assert np.array_equal(_inactive_part(b), _inactive_part(noised))
+
+    # Distillation from two partly overlapping teachers, theirs noised too.
+    pub = UnlabeledDataset(gen_blobs(10, 8, 20, 1.0, 74).features)
+    teachers = [
+        init_mlp(8, [12], 10, {0, 2, 5}, np.random.default_rng(75)),
+        init_mlp(8, [12], 10, {3, 7, 9}, np.random.default_rng(76)),
+    ]
+    noised_teachers = [_noised_inactive(t, 77 + i) for i, t in enumerate(teachers)]
+    cfg = DistillConfig(alpha=0.5, epochs=2, batch_size=32, lr=0.01)
+    students = []
+    for student, ensemble in ((clone_model(a), teachers), (clone_model(b), noised_teachers)):
+        distill_train(student, ensemble, pub, cfg, np.random.default_rng(79))
+        students.append(student)
+    s_a, s_b = students
+    assert np.array_equal(_active_part(s_a), _active_part(s_b))
+    assert not np.array_equal(_active_part(s_a), _active_part(a))  # it distilled
+    assert np.array_equal(_inactive_part(s_b), _inactive_part(noised))
+
+    # Evaluation.
+    for model_a, model_b in ((a, b), (s_a, s_b)):
+        for labels in (PIN_ACTIVE, {2, 7}):
+            test = LabeledDataset(x, y, 10)
+            assert evaluate(model_a, test, labels) == evaluate(model_b, test, labels)
