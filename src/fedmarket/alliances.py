@@ -27,9 +27,6 @@ log = logging.getLogger(__name__)
 # 5.2 s at 11 consumers, 27 s at 12.
 MAX_ENUMERABLE_CONSUMERS = 11
 
-DEFAULT_MIN_SHARED_LABELS = 2
-DEFAULT_MIN_SHARED_OWNERS = 2
-
 
 @dataclass(frozen=True)
 class AllianceCandidate:
@@ -90,8 +87,8 @@ def enumerate_candidates(
     consumers: Sequence[DataConsumer],
     owners: Sequence[DataOwner],
     history: BiddingHistory,
-    min_shared_labels: int = DEFAULT_MIN_SHARED_LABELS,
-    min_shared_owners: int = DEFAULT_MIN_SHARED_OWNERS,
+    min_shared_labels: int,
+    min_shared_owners: int,
     uid_start: int = 0,
 ) -> list[AllianceCandidate]:
     """All consumer subsets whose shared task and contested owners pass the thresholds.

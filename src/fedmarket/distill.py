@@ -47,9 +47,9 @@ class DistillConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -69,8 +69,6 @@ def distill_train(
     """
     if len(public) == 0:
         raise ValueError("public distillation set is empty")
-    if cfg.epochs == 0:
-        return student
     distill_epochs(
         student,
         teachers,

@@ -27,8 +27,9 @@ class FLRoundConfig:
     lr: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.local_epochs < 1 or self.distill_epochs < 1:
-            raise ValueError("epoch counts must be >= 1")
+        for key in ("local_epochs", "distill_epochs"):
+            if (n := getattr(self, key)) < 1:
+                raise ValueError(f"{key} must be >= 1, got {n}")
         if self.method not in ("fedavg", "feddf"):
             raise ValueError(f"unknown aggregation method {self.method!r}")
         if self.batch_size < 1:

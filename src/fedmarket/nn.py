@@ -2,8 +2,8 @@
 
 MLP forward/backward, masked softmax, entropy/KL/cross-entropy kernels and a
 bias-corrected Adam optimizer. Every model predicts over a single global
-K-way label universe; a per-model set of active labels masks the positions
-the model actually serves.
+K-way label universe; a per-model set of active labels names the positions
+the model serves, and probabilities and predictions read those by index.
 """
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-# Large negative sentinel standing in for -inf at inactive output positions.
-# Kept finite so downstream arithmetic never produces NaNs.
-MASK_SENTINEL = -1e9
-
 # Probabilities are clamped at this floor inside every log.
 PROB_FLOOR = 1e-12
+
+# Adam's b1, b2 and eps: the moment decay rates and the denominator's stabilizer.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -27,8 +28,9 @@ class Mlp:
     """Fully connected ReLU network over the global K-way output.
 
     ``dims`` is ``[input_dim, hidden..., K]``. ``active_labels`` is the set of
-    output positions this model serves; :func:`forward` forces all other
-    positions to ``MASK_SENTINEL`` and they carry exactly zero probability.
+    output positions this model serves. :func:`forward` returns all K logits,
+    but only the active ones are meaningful: read them with
+    ``softmax(logits, model.active_index)`` or ``fed.evaluate``.
 
     ``flat`` is the model: one contiguous ``(*lead, P)`` buffer holding
     every parameter, which the model takes without copying. ``weights`` and
@@ -74,11 +76,6 @@ class Mlp:
         mask = np.zeros(self.num_classes, dtype=bool)
         mask[self.active_index] = True
         return _frozen(mask)
-
-    @cached_property
-    def inactive_index(self) -> np.ndarray:
-        """Sorted ids of the masked output positions, read-only."""
-        return _frozen(np.flatnonzero(~self.active_mask))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,7 +134,7 @@ def unstack(stack: Mlp) -> list[Mlp]:
 
 
 def forward(model: Mlp, batch: np.ndarray) -> np.ndarray:
-    """Logits for a (batch, input_dim) matrix, masked at inactive positions.
+    """All K logits for a (batch, input_dim) matrix; only the active ones are meaningful.
 
     A stack takes ``(M, batch, input_dim)``, one batch per model.
     """
@@ -162,16 +159,14 @@ def forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.n
         if i < last:
             h = np.maximum(h, 0.0)
             acts.append(h)
-    if model.inactive_index.size:
-        h[..., model.inactive_index] = MASK_SENTINEL
     return h, acts
 
 
 def backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
     """Parameter gradients given dL/dlogits, as one buffer shaped like ``model.flat``.
 
-    ``dlogits`` must already be zero at inactive columns; the mask is a
-    constant substitution, so no gradient flows through those positions.
+    The losses are formed over the active columns only, so ``dlogits`` is
+    zero at the inactive ones and their output parameters get zero gradient.
     """
     grad = np.empty_like(model.flat)
     grads_w, grads_b = _layer_views(grad, model.dims)
@@ -212,7 +207,7 @@ def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Moments, two work buffers and hyperparameters for one parameter array."""
+    """Moments, two work buffers, step count and learning rate for one parameter array."""
 
     m: np.ndarray
     v: np.ndarray
@@ -220,9 +215,6 @@ class AdamState:
     denom: np.ndarray = field(repr=False)
     step: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def init_adam(param: np.ndarray, lr: float = 0.001) -> AdamState:
@@ -246,20 +238,19 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> None:
         )
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
     m, v, s, d = state.m, state.v, state.scratch, state.denom
-    m *= b1
-    np.multiply(grad, 1.0 - b1, out=s)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
     m += s
-    v *= b2
-    np.multiply(grad, 1.0 - b2, out=s)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=s)
     s *= grad
     v += s
-    np.divide(m, 1.0 - b1**t, out=s)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=s)
     s *= state.lr
-    np.divide(v, 1.0 - b2**t, out=d)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=d)
     np.sqrt(d, out=d)
-    d += state.epsilon
+    d += ADAM_EPSILON
     s /= d
     param -= s
 
@@ -267,17 +258,17 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> None:
 def cross_entropy_grad(
     model: Mlp, logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the masked softmax and its logit gradient.
+    """Mean cross-entropy over the active softmax and its K-wide logit gradient.
 
-    For a stack, ``logits`` is ``(M, batch, K)`` and the loss is one value per model.
+    The gradient is zero at inactive columns. For a stack, ``logits`` is
+    ``(M, batch, K)`` and the loss is one value per model.
     """
-    probs = np.zeros_like(logits)
-    probs[..., model.active_index] = softmax(logits, model.active_index)
-    k = probs.shape[-1]
+    dlogits = np.zeros_like(logits)
+    dlogits[..., model.active_index] = softmax(logits, model.active_index)
+    k = dlogits.shape[-1]
     hit = (np.arange(labels.size), labels.ravel())  # each sample's label, one row per sample
-    picked = probs.reshape(-1, k)[hit].reshape(labels.shape)
+    picked = dlogits.reshape(-1, k)[hit].reshape(labels.shape)
     loss = -np.log(np.maximum(picked, PROB_FLOOR)).mean(axis=-1)
-    dlogits = probs.copy()
     dlogits.reshape(-1, k)[hit] -= 1.0
     dlogits /= logits.shape[-2]
     return loss, dlogits

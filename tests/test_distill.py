@@ -20,7 +20,6 @@ from fedmarket.distill import (
 )
 from fedmarket.fed import evaluate
 from fedmarket.nn import (
-    MASK_SENTINEL,
     adam_step,
     backward,
     clone_model,
@@ -118,8 +117,8 @@ def test_ensemble_full_overlap_mean():
 
 
 def test_ensemble_partial_overlap_renormalizes():
-    a = np.array([1.0, 3.0, MASK_SENTINEL])  # active {0, 1}
-    b = np.array([MASK_SENTINEL, 5.0, 7.0])  # active {1, 2}
+    a = np.array([1.0, 3.0, 50.0])  # active {0, 1}; the inactive logit is never read
+    b = np.array([-50.0, 5.0, 7.0])  # active {1, 2}
     contrib = [np.array([True, True, False]), np.array([False, True, True])]
     out = combine_teachers([a, b], np.array([0.5, 0.5]), contrib, np.arange(3))
     assert out[0] == 1.0  # only teacher A covers class 0
@@ -246,6 +245,15 @@ def test_distill_zero_epochs_noop():
     cfg = DistillConfig(alpha=1.0, epochs=0)
     distill_train(student, [teacher], pub, cfg, np.random.default_rng(0))
     assert np.array_equal(before, student.flat)
+    # The teachers are checked even when no epoch runs.
+    narrow = init_mlp(train.dim, [16], 4, {0, 1}, np.random.default_rng(6))
+    disjoint = init_mlp(train.dim, [16], 4, {2}, np.random.default_rng(7))
+    for epochs in (0, 1):
+        cfg = DistillConfig(alpha=1.0, epochs=epochs)
+        with pytest.raises(ValueError, match="at least one teacher"):
+            distill_train(narrow, [], pub, cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shares no labels"):
+            distill_train(narrow, [disjoint], pub, cfg, np.random.default_rng(0))
 
 
 def test_distill_transfers_knowledge():
@@ -381,8 +389,10 @@ def test_batched_weights_match_single_sample_op():
 def test_config_validation():
     with pytest.raises(ValueError):
         DistillConfig(alpha=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
         DistillConfig(epochs=-1)
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        DistillConfig(batch_size=0)
     for lr in (0.0, -0.001, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             DistillConfig(lr=lr)
@@ -397,13 +407,17 @@ def test_config_validation():
 PIN_ACTIVE = frozenset({0, 2, 3, 7})  # of K = 10
 
 
+def _inactive(model):
+    return np.setdiff1d(np.arange(model.num_classes), model.active_index)
+
+
 def _noised_inactive(model, seed):
     """A copy of ``model`` whose output weights and biases at inactive labels are N(0, 5) noise."""
     out = clone_model(model)
-    idx = np.setdiff1d(np.arange(model.num_classes), model.active_index)
+    idx = _inactive(model)
     rng = np.random.default_rng(seed)
-    out.weights[-1][..., idx] = rng.normal(0.0, 5.0, size=out.weights[-1][..., idx].shape)
-    out.biases[-1][..., idx] = rng.normal(0.0, 5.0, size=idx.size)
+    out.weights[-1][:, idx] = rng.normal(0.0, 5.0, size=(model.dims[-2], idx.size))
+    out.biases[-1][idx] = rng.normal(0.0, 5.0, size=idx.size)
     return out
 
 
@@ -411,12 +425,12 @@ def _active_part(model):
     """Every hidden parameter and the output parameters at the active labels, in one vector."""
     idx = model.active_index
     hidden = [a.ravel() for a in model.weights[:-1] + model.biases[:-1]]
-    return np.concatenate([*hidden, model.weights[-1][..., idx].ravel(), model.biases[-1][idx]])
+    return np.concatenate([*hidden, model.weights[-1][:, idx].ravel(), model.biases[-1][idx]])
 
 
 def _inactive_part(model):
-    idx = np.setdiff1d(np.arange(model.num_classes), model.active_index)
-    return np.concatenate([model.weights[-1][..., idx].ravel(), model.biases[-1][idx]])
+    idx = _inactive(model)
+    return np.concatenate([model.weights[-1][:, idx].ravel(), model.biases[-1][idx]])
 
 
 def test_inactive_outputs_take_no_part():
@@ -463,7 +477,7 @@ def test_inactive_outputs_take_no_part():
     assert np.array_equal(_inactive_part(s_b), _inactive_part(noised))
 
     # Evaluation.
+    test = LabeledDataset(x, y, 10)
     for model_a, model_b in ((a, b), (s_a, s_b)):
         for labels in (PIN_ACTIVE, {2, 7}):
-            test = LabeledDataset(x, y, 10)
             assert evaluate(model_a, test, labels) == evaluate(model_b, test, labels)

@@ -176,6 +176,39 @@ def test_first_price_budget_depletes_within_call():
     assert m == {0: 0}  # second owner unaffordable after paying for the first
 
 
+_bid_values = st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_price_market_properties(data):
+    # Bids and budgets are multiples of 0.5, so every sum below is exact.
+    n_c = data.draw(st.integers(1, 5))
+    n_o = data.draw(st.integers(0, 8))
+    rows = st.lists(_bid_values, min_size=n_o, max_size=n_o)
+    bids = np.array(data.draw(st.lists(rows, min_size=n_c, max_size=n_c))).reshape(n_c, n_o)
+    budgets = data.draw(
+        st.dictionaries(st.integers(0, n_c - 1), st.integers(0, 12).map(lambda h: h / 2))
+    )
+    m = match_first_price(bids, budgets)
+    assert set(m) <= set(range(n_o))
+    # Replay the owners in column order, each winner paying its bid.
+    remaining = {c: budgets.get(c, 0.0) for c in range(n_c)}
+    for o in range(n_o):
+        covered = [c for c in range(n_c) if 0 < bids[c, o] <= remaining[c]]
+        if o not in m:
+            assert not covered  # nobody could afford it
+            continue
+        w = m[o]
+        assert bids[w, o] > 0
+        assert w in covered
+        assert all(bids[w, o] >= bids[c, o] for c in covered)
+        remaining[w] -= bids[w, o]
+    for c in range(n_c):
+        spent = sum(bids[c, o] for o, w in m.items() if w == c)
+        assert spent <= budgets.get(c, 0.0)
+
+
 # ---------------------------------------------------------------- entities / bids
 
 def _consumer(i, labels, seed=0):

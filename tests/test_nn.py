@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmarket.nn import (
-    MASK_SENTINEL,
     Mlp,
     adam_step,
     clone_model,
@@ -128,7 +127,7 @@ def test_kl_nonnegative_1000_random_pairs():
         assert kl_div(p, q) >= -1e-12
 
 
-# ---------------------------------------------------------------- forward / masking
+# ---------------------------------------------------------------- forward
 
 def test_forward_zero_model_gives_zero_active_logits():
     m = small_model()
@@ -136,13 +135,6 @@ def test_forward_zero_model_gives_zero_active_logits():
         w[:] = 0.0
     logits = forward(m, np.zeros((2, 4)))
     assert np.allclose(logits, 0.0)
-
-
-def test_forward_masks_inactive_positions():
-    m = init_mlp(4, [6], 4, {0, 1}, np.random.default_rng(0))
-    logits = forward(m, np.random.default_rng(1).normal(size=(3, 4)))
-    assert (logits[:, 2] == MASK_SENTINEL).all()
-    assert (logits[:, 3] == MASK_SENTINEL).all()
 
 
 def test_forward_output_shape():

@@ -98,6 +98,9 @@ def test_config_validation(tmp_path, capsys):
         config_from_dict({"fl": {"batch_size": 0}})
     with pytest.raises(ConfigError, match="'fl': lr"):
         config_from_dict({"fl": {"lr": 0.0}})
+    for key in ("local_epochs", "distill_epochs"):
+        with pytest.raises(ConfigError, match=f"'fl': {key} must be >= 1, got 0"):
+            config_from_dict({"fl": {key: 0}})
     with pytest.raises(ConfigError, match="'distill': lr"):
         config_from_dict({"distill": {"lr": float("nan")}})
     # Values are checked against the field types, naming the dotted key.
@@ -246,7 +249,9 @@ def _phase_calls(monkeypatch, cfg, policy=default_policy):
     distilled, and the first synthetic consumer id each alliance pass was
     given. The round starts at sim's one ``default_bids`` call, and a
     distilled model is known by the consumer ``run_fl_round`` last saw holding
-    it. ``policy`` answers every alliance offer.
+    it. ``policy`` answers every alliance offer. Every owner a mechanism
+    assigns must have had a positive bid from its recruiter in the matrix the
+    mechanism was handed.
     """
     calls: Counter = Counter()
     distilled: list[list[int]] = []
@@ -273,7 +278,10 @@ def _phase_calls(monkeypatch, cfg, policy=default_policy):
             if _name == "create_alliances":
                 kwargs["policy"] = policy
                 id_starts.append(kwargs["id_start"])
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            if _name.startswith("match_"):
+                assert out and all(args[0][cid, oid] > 0 for oid, cid in out.items())
+            return out
 
         monkeypatch.setattr(sim, name, wrapper)
     trace = run_scenario(cfg)
