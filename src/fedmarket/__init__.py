@@ -13,7 +13,7 @@ from .alliances import (
 )
 from .data import (
     LabeledDataset,
-    PartitionSpec,
+    PartitionSizes,
     UnlabeledDataset,
     build_market_partition,
     gen_blobs,

@@ -21,14 +21,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario and write metrics")
-    run_p.add_argument("--config", required=True, help="JSON config path, or 'default'")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True, help="JSON config path, or 'default'")
+    scenario.add_argument("--seed", type=int, default=None, help="override the config seed")
+
+    run_p = sub.add_parser("run", parents=[scenario], help="run one scenario and write metrics")
     run_p.add_argument("--out", default="out", help="output directory (default: out)")
 
-    cmp_p = sub.add_parser("compare", help="run all three scenarios and report the gap")
-    cmp_p.add_argument("--config", required=True, help="JSON config path, or 'default'")
-    cmp_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    cmp_p = sub.add_parser(
+        "compare", parents=[scenario], help="run all three scenarios and report the gap"
+    )
     cmp_p.add_argument("--out", default=None, help="optional directory for compare.json")
 
     mwc_p = sub.add_parser("solve-mwc", help="solve a weighted max-clique instance")
@@ -41,10 +43,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
     try:
-        if args.command == "run":
+        if args.command in ("run", "compare"):
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.command == "run":
             trace = run_scenario(cfg)
             paths = emit_metrics(trace, args.out)
             print(f"scenario={trace.scenario} seed={trace.seed}")
@@ -54,19 +57,14 @@ def main(argv: list[str] | None = None) -> int:
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "compare":
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg = dataclasses.replace(cfg, seed=args.seed)
             report = compare_scenarios(cfg)
             print(f"{'scenario':<14} final mean test acc")
             for scenario, acc in report["final_mean_test_acc"].items():
                 print(f"{scenario:<14} {acc:.4f}")
             print(f"restriction gap:     {report['restriction_gap']:.4f}")
             ratio = report["recovered_gap_ratio"]
-            if isinstance(ratio, float):
-                print(f"recovered gap ratio: {ratio:.4f}")
-            else:
-                print(f"recovered gap ratio: {ratio}")
+            print(f"recovered gap ratio: {ratio:.4f}" if isinstance(ratio, float)
+                  else f"recovered gap ratio: {ratio}")
             if args.out:
                 out = Path(args.out)
                 out.mkdir(parents=True, exist_ok=True)

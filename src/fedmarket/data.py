@@ -7,6 +7,7 @@ classes by its own group.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +61,7 @@ class UnlabeledDataset:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSizes:
     """Market data layout: consumer/owner counts and shard sizes.
 
     ``n_c`` classes of interest per consumer, half of them shared by all
@@ -68,13 +69,12 @@ class PartitionSpec:
     shared classes, group i the unique classes of consumer i-1).
     """
 
-    n_dc: int
-    n_do: int
-    n_c: int
-    samples_per_do: int
-    samples_per_val: int
-    public_size: int
-    seed: int
+    n_dc: int = 3
+    n_do: int = 24
+    n_c: int = 4
+    samples_per_do: int = 1000
+    samples_per_val: int = 2000
+    public_size: int = 5000
 
     def __post_init__(self) -> None:
         if self.n_dc < 1 or self.n_do < 1:
@@ -147,24 +147,26 @@ def _distinct_vertices(k: int, dim: int, rng: np.random.Generator) -> np.ndarray
     return bits * 2.0 - 1.0
 
 
-def build_market_partition(spec: PartitionSpec, base: LabeledDataset) -> MarketPartition:
-    """Carve disjoint owner/validation/public shards out of ``base``.
+def build_market_partition(
+    sizes: PartitionSizes, base: LabeledDataset, seed: int | list[int]
+) -> MarketPartition:
+    """Carve disjoint owner/validation/public shards out of ``base``, drawn by ``seed``.
 
     Consumer i gets n_c classes: the shared block plus its own unique block.
     Group-0 owners hold only shared classes; group-i owners hold only consumer
     i-1's unique classes. Every shard is class-balanced.
     """
-    need_classes = (spec.n_dc + 1) * spec.n_shared
+    need_classes = (sizes.n_dc + 1) * sizes.n_shared
     if base.num_classes < need_classes:
         raise ConfigError(
             f"base dataset has {base.num_classes} classes, construction needs {need_classes}"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(base.num_classes)
-    shared = frozenset(int(c) for c in perm[: spec.n_shared])
+    shared = frozenset(int(c) for c in perm[: sizes.n_shared])
     unique_blocks = [
-        frozenset(int(c) for c in perm[spec.n_shared + i * spec.n_shared : spec.n_shared + (i + 1) * spec.n_shared])
-        for i in range(spec.n_dc)
+        frozenset(int(c) for c in perm[(i + 1) * sizes.n_shared : (i + 2) * sizes.n_shared])
+        for i in range(sizes.n_dc)
     ]
     dc_label_sets = [shared | blk for blk in unique_blocks]
 
@@ -174,19 +176,17 @@ def build_market_partition(spec: PartitionSpec, base: LabeledDataset) -> MarketP
     do_shards: list[LabeledDataset] = []
     do_groups: list[int] = []
     for group, labels in enumerate(group_labels):
-        for _ in range(spec.owners_per_group):
-            do_shards.append(
-                _draw_balanced(base, pools, labels, spec.samples_per_do)
-            )
+        for _ in range(sizes.owners_per_group):
+            do_shards.append(_draw_balanced(base, pools, labels, sizes.samples_per_do))
             do_groups.append(group)
 
     dc_val_shards = [
-        _draw_balanced(base, pools, dc_label_sets[i], spec.samples_per_val)
-        for i in range(spec.n_dc)
+        _draw_balanced(base, pools, dc_label_sets[i], sizes.samples_per_val)
+        for i in range(sizes.n_dc)
     ]
 
     public_labeled = _draw_balanced(
-        base, pools, frozenset(range(base.num_classes)), spec.public_size
+        base, pools, frozenset(range(base.num_classes)), sizes.public_size
     )
     order = rng.permutation(len(public_labeled))
     public = UnlabeledDataset(public_labeled.features[order])
@@ -263,43 +263,27 @@ def load_idx(
     images_path: str | Path, labels_path: str | Path, num_classes: int | None = None
 ) -> LabeledDataset:
     """Load an IDX image/label file pair; pixels scaled to [0, 1] and flattened."""
-    images, rows, cols = _read_idx_images(Path(images_path))
-    labels = _read_idx_labels(Path(labels_path))
-    if images.shape[0] != labels.shape[0]:
-        raise IdxParseError(
-            f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
-        )
-    feats = images.reshape(images.shape[0], rows * cols).astype(float) / 255.0
+    images = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, "image")
+    labels = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, "label")
+    if len(images) != len(labels):
+        raise IdxParseError(f"{images_path}: {len(images)} images but {len(labels)} labels")
+    feats = images.reshape(len(images), math.prod(images.shape[1:])).astype(float) / 255.0
     k = num_classes if num_classes is not None else int(labels.max()) + 1
     return LabeledDataset(feats, labels.astype(np.int64), k)
 
 
-def _read_idx_images(path: Path) -> tuple[np.ndarray, int, int]:
+def _read_idx(path: Path, magic: int, kind: str) -> np.ndarray:
+    """The uint8 array of an IDX file; ``magic``'s low byte is its rank, ``kind`` names it."""
     raw = path.read_bytes()
-    if len(raw) < 16:
+    header = 4 + 4 * (magic & 0xFF)
+    if len(raw) < header:
         raise IdxParseError(f"{path}: truncated header at offset {len(raw)}")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxParseError(f"{path}: bad image magic {magic:#010x} at offset 0")
-    expected = 16 + count * rows * cols
+    found, *shape = struct.unpack(f">{header // 4}I", raw[:header])
+    if found != magic:
+        raise IdxParseError(f"{path}: bad {kind} magic {found:#010x} at offset 0")
+    expected = header + math.prod(shape)  # Python ints: no header can overflow it
     if len(raw) != expected:
         raise IdxParseError(
             f"{path}: expected {expected} bytes, got {len(raw)} (mismatch at offset {min(expected, len(raw))})"
         )
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return data.reshape(count, rows, cols), rows, cols
-
-
-def _read_idx_labels(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 8:
-        raise IdxParseError(f"{path}: truncated header at offset {len(raw)}")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxParseError(f"{path}: bad label magic {magic:#010x} at offset 0")
-    expected = 8 + count
-    if len(raw) != expected:
-        raise IdxParseError(
-            f"{path}: expected {expected} bytes, got {len(raw)} (mismatch at offset {min(expected, len(raw))})"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).copy()
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(shape)

@@ -23,6 +23,7 @@ from .nn import (
     PROB_FLOOR,
     adam_step,
     backward,
+    batch_schedule,
     entropy,
     forward,
     forward_cached,
@@ -52,35 +53,6 @@ class DistillConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-
-
-def distill_train(
-    student: Mlp,
-    teachers: Sequence[Mlp],
-    public: UnlabeledDataset,
-    cfg: DistillConfig,
-    rng: np.random.Generator,
-) -> Mlp:
-    """Train the student against the entropy-weighted ``teachers`` on the public pool.
-
-    Teacher weights are recomputed per sample (entropy is input-dependent);
-    teachers are never touched. Runs ``cfg.epochs`` shuffled passes and
-    returns the student, updated in place.
-    """
-    if len(public) == 0:
-        raise ValueError("public distillation set is empty")
-    distill_epochs(
-        student,
-        teachers,
-        entropy_weights,
-        public,
-        cfg.alpha,
-        cfg.epochs,
-        cfg.batch_size,
-        cfg.lr,
-        rng,
-    )
-    return student
 
 
 def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> list[np.ndarray]:
@@ -188,43 +160,42 @@ def distill_loss_grad(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndar
     return grad
 
 
-def distill_epochs(
+def distill_train(
     student: Mlp,
     teachers: Sequence[Mlp],
-    weighting: Weighting,
     public: UnlabeledDataset,
-    alpha: float,
-    epochs: int,
-    batch_size: int,
-    lr: float,
+    cfg: DistillConfig,
     rng: np.random.Generator,
-) -> None:
+    weighting: Weighting = entropy_weights,
+) -> Mlp:
     """Minibatch distillation of ``student``, in place, against frozen ``teachers``.
 
-    Runs ``epochs`` passes over ``public``, each in a fresh ``rng``
-    permutation, with one Adam step per batch. The teachers are frozen, so
-    their targets form one table over the pool, built before the first epoch
-    and gathered per batch.
+    Runs ``cfg.epochs`` passes over ``public``, each in a fresh ``rng``
+    permutation, with one Adam step per batch, and returns the student.
+    ``weighting`` is FedCDC's :func:`entropy_weights` or FedDF's
+    :func:`uniform_weights`. The teachers' targets form one table over the
+    pool, built once before the first epoch and gathered per batch.
     """
+    n = len(public)
+    if n == 0:
+        raise ValueError("public distillation set is empty")
     target_index = student.active_index
     contrib = contributor_masks(teachers, target_index)
-    n = len(public)
+    if cfg.epochs == 0:
+        return student
     # Built in batch-sized chunks: the BLAS may round a row differently
     # depending on how many rows share the call, and a chunk computes each
     # row as a full training batch would.
-    chunks = [public.features[start : start + batch_size] for start in range(0, n, batch_size)]
+    chunks = [public.features[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
     p_pool = np.concatenate(
         [teacher_targets(teachers, contrib, x, weighting, target_index) for x in chunks]
     )
-    opt = init_adam(student.flat, lr=lr)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            x = public.features[idx]
-            p_t = p_pool[idx]
-            logits, acts = forward_cached(student, x)
-            dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
-            dlogits = np.zeros_like(logits)
-            dlogits[:, target_index] = dz / x.shape[0]
-            adam_step(opt, student.flat, backward(student, acts, dlogits))
+    opt = init_adam(student.flat, lr=cfg.lr)
+    for (idx,) in batch_schedule(n, cfg.epochs, cfg.batch_size, [rng]):
+        x = public.features[idx]
+        logits, acts = forward_cached(student, x)
+        dz = distill_loss_grad(softmax(logits, target_index), p_pool[idx], cfg.alpha)
+        dlogits = np.zeros_like(logits)
+        dlogits[:, target_index] = dz / x.shape[0]
+        adam_step(opt, student.flat, backward(student, acts, dlogits))
+    return student

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
-from .distill import distill_epochs, uniform_weights
+from .distill import DistillConfig, distill_train, uniform_weights
 from .market import DataConsumer, DataOwner
-from .nn import Mlp, forward, init_adam, replicate, train_step, unstack
+from .nn import Mlp, batch_schedule, forward, init_adam, replicate, train_step, unstack
 
 log = logging.getLogger(__name__)
 
@@ -27,13 +27,11 @@ class FLRoundConfig:
     lr: float = 0.001
 
     def __post_init__(self) -> None:
-        for key in ("local_epochs", "distill_epochs"):
+        for key in ("local_epochs", "distill_epochs", "batch_size"):
             if (n := getattr(self, key)) < 1:
                 raise ValueError(f"{key} must be >= 1, got {n}")
         if self.method not in ("fedavg", "feddf"):
             raise ValueError(f"unknown aggregation method {self.method!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -88,11 +86,8 @@ def lockstep_train(
     features = np.stack([s.features for s in shards])
     labels = np.stack([s.labels for s in shards])
     rows = np.arange(len(shards))[:, None]
-    for _ in range(epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, batch_size):
-            sel = order[:, start : start + batch_size]
-            train_step(stack, opt, features[rows, sel], labels[rows, sel])
+    for sel in batch_schedule(n, epochs, batch_size, rngs):
+        train_step(stack, opt, features[rows, sel], labels[rows, sel])
     return unstack(stack)
 
 
@@ -104,26 +99,12 @@ def feddf_round(
     rng: np.random.Generator,
 ) -> Mlp:
     """FedDF aggregation: FedAvg init, then distill on uniform-average teacher logits."""
-    if not local_models:
-        raise ValueError("feddf needs at least one local model")
-    if len(public) == 0:
-        raise ValueError("feddf needs a nonempty public set")
     student = fedavg_aggregate(local_models)
     if student.dims != global_model.dims:
         raise ValueError("local models do not match the global architecture")
+    distill_cfg = DistillConfig(FEDDF_ALPHA, cfg.distill_epochs, cfg.batch_size, cfg.lr)
     teachers = [m for m, _ in local_models]
-    distill_epochs(
-        student,
-        teachers,
-        uniform_weights,
-        public,
-        FEDDF_ALPHA,
-        cfg.distill_epochs,
-        cfg.batch_size,
-        cfg.lr,
-        rng,
-    )
-    return student
+    return distill_train(student, teachers, public, distill_cfg, rng, uniform_weights)
 
 
 def run_fl_round(

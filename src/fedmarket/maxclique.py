@@ -176,29 +176,39 @@ def write_dimacs(g: WeightedGraph, path: str | Path) -> None:
 
 
 def read_dimacs(path: str | Path) -> WeightedGraph:
-    """Parse the format written by :func:`write_dimacs`; missing weights default to 1."""
+    """Parse the format written by :func:`write_dimacs`; missing weights default to 1.
+
+    A record without exactly two integer fields, or with a node id outside
+    ``1..n``, is rejected with an error naming its line.
+    """
     n = -1
-    weights: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
+    records: list[tuple[int, str, int, int]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         parts = line.split()
         if not parts or parts[0] == "c":
             continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            n = int(parts[2])
-        elif parts[0] == "n":
-            weights[int(parts[1]) - 1] = int(parts[2])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        kind = parts[0]
+        if kind not in ("p", "n", "e"):
+            raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        if kind == "p" and (len(parts) != 4 or parts[1] != "edge"):
+            raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+        try:
+            a, b = (int(f) for f in parts[2 if kind == "p" else 1 :])
+        except ValueError:  # a field missing, one too many, or not an integer
+            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
+        if kind == "p":
+            n = a
         else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+            records.append((lineno, kind, a, b))
     if n < 0:
         raise ValueError(f"{path}: missing 'p edge' line")
+    weights = [1] * n
     adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u + 1}, {v + 1}) outside 1..{n}")
-        adj[u, v] = adj[v, u] = True
-    return WeightedGraph([weights.get(v, 1) for v in range(n)], adj)
+    for lineno, kind, a, b in records:
+        if not 1 <= a <= n or (kind == "e" and not 1 <= b <= n):
+            raise ValueError(f"line {lineno}: node id outside 1..{n}")
+        if kind == "n":
+            weights[a - 1] = b
+        else:
+            adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
+    return WeightedGraph(weights, adj)

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -272,6 +273,20 @@ def cross_entropy_grad(
     dlogits.reshape(-1, k)[hit] -= 1.0
     dlogits /= logits.shape[-2]
     return loss, dlogits
+
+
+def batch_schedule(
+    n: int, epochs: int, batch_size: int, rngs: Sequence[np.random.Generator]
+) -> Iterator[np.ndarray]:
+    """Row indices of each minibatch over ``n`` rows, shaped ``(len(rngs), batch)``.
+
+    Each epoch draws one fresh ``rngs[i].permutation(n)`` for model i and cuts
+    it into batches of ``batch_size`` rows; the last batch may be shorter.
+    """
+    for _ in range(epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        for start in range(0, n, batch_size):
+            yield order[:, start : start + batch_size]
 
 
 def train_step(

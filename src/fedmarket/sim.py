@@ -23,7 +23,7 @@ import numpy as np
 from .alliances import MAX_ENUMERABLE_CONSUMERS, Alliance, candidate_value, create_alliances
 from .data import (
     LabeledDataset,
-    PartitionSpec,
+    PartitionSizes,
     UnlabeledDataset,
     build_market_partition,
     gen_blobs,
@@ -80,16 +80,6 @@ class IdxPaths:
     train_labels: str
     test_images: str
     test_labels: str
-
-
-@dataclass
-class PartitionSizes:
-    n_dc: int = 3
-    n_do: int = 24
-    n_c: int = 4
-    samples_per_do: int = 1000
-    samples_per_val: int = 2000
-    public_size: int = 5000
 
 
 @dataclass
@@ -162,26 +152,19 @@ class ScenarioConfig:
                 f"partition.n_dc={self.partition.n_dc} exceeds the alliance "
                 f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)"
             )
-        try:
-            spec = self.partition_spec()
-        except ConfigError as exc:
-            raise ConfigError(f"partition.{exc}") from exc
         # Every consumer bids on every group-0 owner, so the partition
         # mechanism splits that group over all of them.
+        sizes = self.partition
         if (
             self.scenario != "unrestricted"
             and self.mechanism == "partition"
-            and spec.n_dc >= 2
-            and spec.owners_per_group % spec.n_dc
+            and sizes.n_dc >= 2
+            and sizes.owners_per_group % sizes.n_dc
         ):
             raise ConfigError(
-                f"partition.n_do={spec.n_do}: the {spec.owners_per_group} shared owners of "
-                f"group 0 cannot be split evenly over n_dc={spec.n_dc} consumers"
+                f"partition.n_do={sizes.n_do}: the {sizes.owners_per_group} shared owners of "
+                f"group 0 cannot be split evenly over n_dc={sizes.n_dc} consumers"
             )
-
-    def partition_spec(self) -> PartitionSpec:
-        """The data layout of ``partition``; building it runs its checks."""
-        return PartitionSpec(**dataclasses.asdict(self.partition), seed=self.seed)
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -296,7 +279,7 @@ class _Market:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         base, test_pool = _load_data(cfg)
-        part = build_market_partition(cfg.partition_spec(), base)
+        part = build_market_partition(cfg.partition, base, cfg.seed)
         self.owners = [
             DataOwner(j, shard, frozenset(int(c) for c in np.unique(shard.labels)))
             for j, shard in enumerate(part.do_shards)

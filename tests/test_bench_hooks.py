@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from fedmarket import distill, sim
+from fedmarket import distill, fed, nn, sim
 from conftest import tiny_cfg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,11 +45,20 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     # A hook that still resolves but is no longer called reads 0 unnoticed;
     # the round probe also needs exactly one default_bids call per round.
     # The distill hooks are the teacher forwards and the student's Adam, which
-    # the tiny fedcdc run reaches through distill_train.
+    # the tiny fedcdc run reaches through distill_train; the fed and nn hooks
+    # are local training's steps and Adam, and FedAvg.
     workloads = _load_workloads()
-    hooks = {(module, attr) for module, attr, _ in workloads.TRACE_POINTS if module in (sim, distill)}
+    hooks = {
+        (module, attr)
+        for module, attr, _ in workloads.TRACE_POINTS
+        if module in (sim, distill, fed, nn)
+    }
     hooks |= {(module, attr) for module, attr, _ in workloads._SimProbe().targets() if module is sim}
+    # run_fl_round trains through lockstep_train, so the benchmark's
+    # fed.local_train hook reads 0 (an open FOUND in CHANGES.md).
+    hooks.discard((fed, "local_train"))
     assert {(distill, "forward"), (distill, "adam_step")} <= hooks
+    assert {(fed, "train_step"), (nn, "adam_step"), (fed, "fedavg_aggregate")} <= hooks
     calls = Counter()
 
     def counted(name, fn):

@@ -6,7 +6,7 @@ import pytest
 from fedmarket.data import (
     IdxParseError,
     LabeledDataset,
-    PartitionSpec,
+    PartitionSizes,
     build_market_partition,
     gen_blobs,
     load_idx,
@@ -16,15 +16,14 @@ from fedmarket.data import (
 from fedmarket.errors import ConfigError
 
 
-def paper_spec(seed=0, samples_per_do=40, samples_per_val=40, public_size=50):
-    return PartitionSpec(
+def paper_sizes(samples_per_do=40, samples_per_val=40, public_size=50):
+    return PartitionSizes(
         n_dc=3,
         n_do=24,
         n_c=4,
         samples_per_do=samples_per_do,
         samples_per_val=samples_per_val,
         public_size=public_size,
-        seed=seed,
     )
 
 
@@ -61,24 +60,24 @@ def test_blobs_too_many_classes_rejected():
         gen_blobs(5, 2, 3, 1.0, 0)
 
 
-# ---------------------------------------------------------------- partition spec
+# ---------------------------------------------------------------- partition sizes
 
 def test_spec_rejects_odd_classes():
     with pytest.raises(ConfigError):
-        PartitionSpec(3, 24, 3, 10, 10, 10, 0)
+        PartitionSizes(3, 24, 3, 10, 10, 10)
 
 
 def test_spec_rejects_indivisible_owner_groups():
     with pytest.raises(ConfigError):
-        PartitionSpec(3, 23, 4, 10, 10, 10, 0)
+        PartitionSizes(3, 23, 4, 10, 10, 10)
 
 
 # ---------------------------------------------------------------- market partition
 
 def test_partition_matches_group_construction():
-    spec = paper_spec()
+    spec = paper_sizes()
     base = gen_blobs(10, 4, 200, 1.0, 3)
-    part = build_market_partition(spec, base)
+    part = build_market_partition(spec, base, 0)
 
     assert len(part.shared_labels) == 2
     inter = frozenset.intersection(*part.dc_label_sets)
@@ -110,9 +109,9 @@ def test_partition_matches_group_construction():
 
 
 def test_partition_shards_pairwise_disjoint():
-    spec = paper_spec()
+    spec = paper_sizes()
     base = gen_blobs(10, 4, 200, 1.0, 9)
-    part = build_market_partition(spec, base)
+    part = build_market_partition(spec, base, 0)
     seen = set()
     all_rows = [s.features for s in part.do_shards + part.dc_val_shards]
     all_rows.append(part.public.features)
@@ -124,10 +123,10 @@ def test_partition_shards_pairwise_disjoint():
 
 
 def test_partition_public_is_class_balanced():
-    spec = paper_spec(public_size=50)
+    spec = paper_sizes(public_size=50)
     base = gen_blobs(10, 4, 200, 1.0, 4)
     label_of = {base.features[i].tobytes(): int(base.labels[i]) for i in range(len(base))}
-    part = build_market_partition(spec, base)
+    part = build_market_partition(spec, base, 0)
     counts = np.zeros(10, dtype=int)
     for row in part.public.features:
         counts[label_of[row.tobytes()]] += 1
@@ -135,17 +134,17 @@ def test_partition_public_is_class_balanced():
 
 
 def test_partition_insufficient_samples_names_class():
-    spec = paper_spec(samples_per_do=500)
+    spec = paper_sizes(samples_per_do=500)
     base = gen_blobs(10, 4, 100, 1.0, 5)
     with pytest.raises(ConfigError, match=r"class \d+"):
-        build_market_partition(spec, base)
+        build_market_partition(spec, base, 0)
 
 
 def test_partition_needs_enough_classes():
-    spec = paper_spec()
+    spec = paper_sizes()
     base = gen_blobs(6, 4, 500, 1.0, 6)
     with pytest.raises(ConfigError):
-        build_market_partition(spec, base)
+        build_market_partition(spec, base, 0)
 
 
 def test_take_class_balanced():
@@ -214,6 +213,54 @@ def test_idx_truncated_data_rejected(tmp_path):
     lbl = tmp_path / "labels.idx"
     lbl.write_bytes(struct.pack(">II", 0x801, 2) + bytes(2))
     with pytest.raises(IdxParseError, match="offset"):
+        load_idx(img, lbl)
+
+
+def _write_labels_and_images(tmp_path, label_bytes, image_bytes=None):
+    img = tmp_path / "images.idx"
+    img.write_bytes(
+        image_bytes if image_bytes is not None
+        else struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(8)
+    )
+    lbl = tmp_path / "labels.idx"
+    lbl.write_bytes(label_bytes)
+    return img, lbl
+
+
+@pytest.mark.parametrize(
+    "label_bytes, message",
+    [
+        (struct.pack(">II", 0x803, 2) + bytes(2), "bad label magic 0x00000803 at offset 0"),
+        (struct.pack(">I", 0x801) + bytes(2), "truncated header at offset 6"),
+        (struct.pack(">II", 0x801, 2) + bytes(1), "expected 10 bytes, got 9 .mismatch at offset 9"),
+        (struct.pack(">II", 0x801, 2) + bytes(3), "expected 10 bytes, got 11 .mismatch at offset 10"),
+    ],
+    ids=["bad-magic", "short-header", "truncated-data", "trailing-data"],
+)
+def test_idx_malformed_label_file_rejected(tmp_path, label_bytes, message):
+    img, lbl = _write_labels_and_images(tmp_path, label_bytes)
+    with pytest.raises(IdxParseError, match=message):
+        load_idx(img, lbl)
+
+
+def test_idx_short_image_header_rejected(tmp_path):
+    img, lbl = _write_labels_and_images(
+        tmp_path, struct.pack(">II", 0x801, 2) + bytes(2), struct.pack(">III", 0x803, 2, 2)
+    )
+    with pytest.raises(IdxParseError, match="truncated header at offset 12"):
+        load_idx(img, lbl)
+
+
+def test_idx_image_header_claiming_more_than_fits_rejected(tmp_path):
+    # 2**32 - 1 images of 65535 x 65535 pixels: far more bytes than any file
+    # holds, and more than an int64 product could count.
+    big = 2**32 - 1
+    header = struct.pack(">IIII", 0x803, big, 65535, 65535)
+    img, lbl = _write_labels_and_images(
+        tmp_path, struct.pack(">II", 0x801, 2) + bytes(2), header + bytes(8)
+    )
+    expected = 16 + big * 65535 * 65535
+    with pytest.raises(IdxParseError, match=f"expected {expected} bytes, got 24 .mismatch at offset 24"):
         load_idx(img, lbl)
 
 

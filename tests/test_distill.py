@@ -10,7 +10,6 @@ from fedmarket.distill import (
     DistillConfig,
     combine_teachers,
     contributor_masks,
-    distill_epochs,
     distill_loss,
     distill_loss_grad,
     distill_train,
@@ -307,7 +306,7 @@ def _overlapping_setup(n_rows):
     return pub, teachers, student
 
 
-@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("epochs", [0, 1, 3])
 def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
     pub, teachers, student = _overlapping_setup(197)
     calls = []
@@ -317,13 +316,15 @@ def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
         return forward(model, x)
 
     monkeypatch.setattr(distill, "forward", counted)
-    distill_epochs(student, teachers, entropy_weights, pub, 0.5, epochs, 32, 0.01,
-                   np.random.default_rng(64))
-    assert len(calls) == len(teachers) * math.ceil(197 / 32)
-    assert sum(calls) == len(teachers) * 197
+    distill_train(student, teachers, pub, DistillConfig(0.5, epochs, 32, 0.01),
+                  np.random.default_rng(64))
+    # No epoch, no table: the teachers are only checked.
+    tables = 1 if epochs else 0
+    assert len(calls) == tables * len(teachers) * math.ceil(197 / 32)
+    assert sum(calls) == tables * len(teachers) * 197
 
 
-def _oracle_distill_epochs(student, teachers, weighting, public, alpha, epochs, batch_size, lr, rng):
+def _oracle_distill_train(student, teachers, weighting, public, alpha, epochs, batch_size, lr, rng):
     """Per-batch reference: recompute the teachers' targets for every batch of every epoch."""
     target_index = student.active_index
     contrib = contributor_masks(teachers, target_index)
@@ -349,9 +350,10 @@ def test_target_table_matches_per_batch_targets(weighting, n_rows):
     # (with OpenBLAS a one-row batch moves the last bits).
     pub, teachers, student = _overlapping_setup(n_rows)
     oracle = clone_model(student)
-    distill_epochs(student, teachers, weighting, pub, 0.5, 3, 32, 0.01, np.random.default_rng(65))
-    _oracle_distill_epochs(oracle, teachers, weighting, pub, 0.5, 3, 32, 0.01,
-                           np.random.default_rng(65))
+    distill_train(student, teachers, pub, DistillConfig(0.5, 3, 32, 0.01),
+                  np.random.default_rng(65), weighting)
+    _oracle_distill_train(oracle, teachers, weighting, pub, 0.5, 3, 32, 0.01,
+                          np.random.default_rng(65))
     assert not np.array_equal(student.flat, _overlapping_setup(n_rows)[2].flat)  # it trained
     np.testing.assert_allclose(student.flat, oracle.flat, rtol=0, atol=1e-9)
 

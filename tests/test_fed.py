@@ -269,6 +269,17 @@ def test_feddf_distillation_reduces_loss():
     assert after < before
 
 
+def test_feddf_rejects_no_models_and_an_empty_pool():
+    ds = gen_blobs(3, 4, 30, 1.0, 22)
+    g = model_with(23)
+    cfg = FLRoundConfig(method="feddf")
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="nothing to aggregate"):
+        feddf_round(g, [], UnlabeledDataset(ds.features), cfg, rng)
+    with pytest.raises(ValueError, match="public distillation set is empty"):
+        feddf_round(g, [(clone_model(g), 10)], UnlabeledDataset(ds.features[:0]), cfg, rng)
+
+
 def test_feddf_requires_public_set():
     ds = gen_blobs(3, 4, 30, 1.0, 20)
     consumer = _consumer(model_with(21), ds)

@@ -145,12 +145,22 @@ def test_dimacs_default_weight_is_one(tmp_path):
 
 def test_dimacs_malformed_rejected(tmp_path):
     path = tmp_path / "bad.dimacs"
-    path.write_text("p vertex 3 2\n")
-    with pytest.raises(ValueError):
-        read_dimacs(path)
-    path.write_text("e 1 2\n")
-    with pytest.raises(ValueError):
-        read_dimacs(path)
+    for text, message in [
+        ("p vertex 3 2\n", "line 1: malformed problem line"),
+        ("e 1 2\n", "missing 'p edge' line"),
+        ("p edge 2 1\nn 2\n", "line 2: expected two integers, got 'n 2'"),
+        ("p edge 2 1\ne 1\n", "line 2: expected two integers, got 'e 1'"),
+        ("p edge 2 1\nn 1 x\n", "line 2: expected two integers"),
+        ("p edge 2 1\ne 1 2.0\n", "line 2: expected two integers"),
+        ("p edge 2 1\ne 1 2 3\n", "line 2: expected two integers"),
+        ("p edge two 1\n", "line 1: expected two integers"),
+        ("p edge 2 0\nn 9 50\n", r"line 2: node id outside 1\.\.2"),
+        ("p edge 2 0\nn 0 50\n", r"line 2: node id outside 1\.\.2"),
+        ("p edge 2 1\nc edge below\ne 1 3\n", r"line 3: node id outside 1\.\.2"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_dimacs(path)
 
 
 def test_solver_deterministic():

@@ -82,8 +82,11 @@ def test_config_validation(tmp_path, capsys):
         ScenarioConfig(rounds=10, alliance_start=4, history_span=3, matching_period=2)
     ScenarioConfig(rounds=10, alliance_start=1, history_span=2, matching_period=2)
     ScenarioConfig(scenario="restricted", history_span=3, matching_period=2)
-    with pytest.raises(ConfigError, match="partition.n_do"):
-        ScenarioConfig(partition=PartitionSizes(n_do=25))  # 4 owner groups
+    with pytest.raises(
+        ConfigError,
+        match="config section 'partition': n_do=25 must divide into 4 equal owner groups",
+    ):
+        config_from_dict({"partition": {"n_do": 25}})
     # 20 owners make groups of 5, and group 0's five cannot be split over 3.
     five_per_group = PartitionSizes(n_dc=3, n_do=20)
     for scenario in ("restricted", "fedcdc"):
@@ -559,6 +562,13 @@ def test_cli_solve_mwc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "weight: 5" in out
     assert "clique: 1 2" in out
+
+
+def test_cli_solve_mwc_malformed_graph_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.dimacs"
+    path.write_text("p edge 2 1\nn 2\n")
+    assert cli_main(["solve-mwc", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: expected two integers, got 'n 2'\n"
 
 
 def _nan_model(model):
