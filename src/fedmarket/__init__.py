@@ -19,7 +19,7 @@ from .data import (
     gen_blobs,
     load_idx,
 )
-from .distill import DistillConfig, distill_loss, distill_train
+from .distill import DistillConfig, distill_train
 from .errors import ConfigError
 from .fed import FLRoundConfig, evaluate, fedavg_aggregate, feddf_round, run_fl_round
 from .market import (
@@ -31,8 +31,8 @@ from .market import (
     max_bid_matrix,
     record_bids,
 )
-from .maxclique import WeightedGraph, brute_force, read_dimacs, solve, write_dimacs
-from .nn import Mlp, adam_step, entropy, forward, init_mlp, kl_div, softmax, train_step
+from .maxclique import WeightedGraph, read_dimacs, solve, write_dimacs
+from .nn import Mlp, adam_step, entropy, forward, init_mlp, softmax, train_step
 from .sim import MetricsTrace, ScenarioConfig, compare_scenarios, emit_metrics, load_config, run_scenario
 
 __version__ = "0.1.0"

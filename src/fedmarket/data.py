@@ -113,9 +113,8 @@ def gen_blobs(
     per_class: int,
     spread: float,
     seed: int | list[int],
-    scale: float = 1.0,
 ) -> LabeledDataset:
-    """Isotropic Gaussian clusters centered on distinct scaled hypercube vertices."""
+    """Isotropic Gaussian clusters centered on distinct hypercube vertices."""
     if num_classes < 2 or dim < 2:
         raise ValueError("need num_classes >= 2 and dim >= 2")
     if per_class < 1:
@@ -123,7 +122,7 @@ def gen_blobs(
     if num_classes > 2**dim:
         raise ValueError(f"cannot place {num_classes} distinct means on a {dim}-cube")
     rng = np.random.default_rng(seed)
-    means = _distinct_vertices(num_classes, dim, rng) * scale
+    means = _distinct_vertices(num_classes, dim, rng)
     feats = np.concatenate(
         [m + rng.normal(0.0, spread, size=(per_class, dim)) for m in means]
     )
@@ -268,6 +267,8 @@ def load_idx(
     if len(images) != len(labels):
         raise IdxParseError(f"{images_path}: {len(images)} images but {len(labels)} labels")
     feats = images.reshape(len(images), math.prod(images.shape[1:])).astype(float) / 255.0
+    if num_classes is None and len(labels) == 0:
+        raise IdxParseError(f"{labels_path}: no labels to infer the class count from")
     k = num_classes if num_classes is not None else int(labels.max()) + 1
     return LabeledDataset(feats, labels.astype(np.int64), k)
 

@@ -28,7 +28,6 @@ from .nn import (
     forward,
     forward_cached,
     init_adam,
-    kl_div,
     softmax,
 )
 
@@ -134,19 +133,11 @@ def teacher_targets(
     return softmax(z_t, slice(None))  # z_t holds only the target columns
 
 
-def distill_loss(student_active_logits: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row soft KL(student || teacher) blended with hard pseudo-label cross-entropy.
-
-    The pseudo-label is the teacher's argmax; ties resolve to the lowest position.
-    """
-    p_s = softmax(student_active_logits, slice(None))
-    pseudo = np.argmax(p_t, axis=-1)[..., None]
-    hard = -np.log(np.maximum(np.take_along_axis(p_s, pseudo, axis=-1)[..., 0], PROB_FLOOR))
-    return alpha * kl_div(p_s, p_t) + (1.0 - alpha) * hard
-
-
 def distill_loss_grad(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarray:
-    """d(distill_loss)/d(student active logits) for (batch, n) rows, not yet averaged."""
+    """Per-row gradient of the distillation loss in the student's active logits, not yet averaged.
+
+    A ``(batch, n)`` row's loss is ``alpha * KL(p_s || p_t) + (1 - alpha) * CE(argmax p_t)``.
+    """
     # The soft term's gradient needs the per-column log-ratio as well as its
     # row sum, the KL, so both come from one log-ratio here.
     log_ratio = np.log(np.maximum(p_s, PROB_FLOOR)) - np.log(np.maximum(p_t, PROB_FLOOR))

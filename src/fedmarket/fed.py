@@ -92,7 +92,6 @@ def lockstep_train(
 
 
 def feddf_round(
-    global_model: Mlp,
     local_models: list[tuple[Mlp, int]],
     public: UnlabeledDataset,
     cfg: FLRoundConfig,
@@ -100,8 +99,6 @@ def feddf_round(
 ) -> Mlp:
     """FedDF aggregation: FedAvg init, then distill on uniform-average teacher logits."""
     student = fedavg_aggregate(local_models)
-    if student.dims != global_model.dims:
-        raise ValueError("local models do not match the global architecture")
     distill_cfg = DistillConfig(FEDDF_ALPHA, cfg.distill_epochs, cfg.batch_size, cfg.lr)
     teachers = [m for m, _ in local_models]
     return distill_train(student, teachers, public, distill_cfg, rng, uniform_weights)
@@ -147,19 +144,15 @@ def run_fl_round(
     if cfg.method == "feddf":
         if public is None:
             raise ValueError("feddf aggregation needs the public set")
-        return feddf_round(start, trained, public, cfg, rng)
+        return feddf_round(trained, public, cfg, rng)
     return fedavg_aggregate(trained)
 
 
-def evaluate(
-    model: Mlp, shard: LabeledDataset, restrict_to: frozenset[int] | set[int]
-) -> float:
-    """Accuracy of argmax over ``restrict_to`` positions; ties pick the lowest class."""
+def evaluate(model: Mlp, shard: LabeledDataset) -> float:
+    """Accuracy of argmax over the model's active labels; ties pick the lowest class."""
     if len(shard) == 0:
         raise ValueError("cannot evaluate on an empty shard")
-    if not set(restrict_to) <= set(model.active_labels):
-        raise ValueError("restrict_to must be a subset of the model's active labels")
-    cols = np.array(sorted(restrict_to), dtype=np.intp)
+    cols = model.active_index
     logits = forward(model, shard.features)
     pred = cols[np.argmax(logits[:, cols], axis=1)]
     return float((pred == shard.labels).mean())

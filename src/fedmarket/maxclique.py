@@ -1,4 +1,4 @@
-"""Exact maximum-weight-clique solver plus a brute-force verification oracle.
+"""Exact maximum-weight-clique solver and its DIMACS-like file format.
 
 The solver is branch-and-bound with a greedy weighted-coloring upper bound,
 coloured once per node; weights are positive integers so all comparisons are
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-BRUTE_FORCE_MAX_NODES = 25
 
 
 @dataclass
@@ -38,16 +36,6 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-
-def _neighbor_masks(g: WeightedGraph) -> list[int]:
-    masks = []
-    for v in range(g.n):
-        m = 0
-        for u in np.flatnonzero(g.adj[v]):
-            m |= 1 << int(u)
-        masks.append(m)
-    return masks
 
 
 def solve(g: WeightedGraph) -> tuple[set[int], int]:
@@ -112,47 +100,6 @@ def solve(g: WeightedGraph) -> tuple[set[int], int]:
     return set(best_key), best_w
 
 
-def brute_force(g: WeightedGraph) -> tuple[set[int], int]:
-    """Exhaustive subset scan; same tie rule as :func:`solve`."""
-    if g.n > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(f"brute force is guarded at n <= {BRUTE_FORCE_MAX_NODES}")
-    if g.n == 0:
-        return set(), 0
-    nbr = _neighbor_masks(g)
-    best_w = 0
-    best_key: tuple[int, ...] = ()
-    for s in range(1, 1 << g.n):
-        m = s
-        weight = 0
-        is_clique = True
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            # v must be adjacent to every higher-indexed member left in m
-            if (nbr[v] & m) != m:
-                is_clique = False
-                break
-            weight += g.weights[v]
-        if not is_clique:
-            continue
-        if weight > best_w:
-            best_w = weight
-            best_key = _bits(s)
-        elif weight == best_w and _bits(s) < best_key:
-            best_key = _bits(s)
-    return set(best_key), best_w
-
-
-def _bits(s: int) -> tuple[int, ...]:
-    out = []
-    while s:
-        low = s & -s
-        out.append(low.bit_length() - 1)
-        s ^= low
-    return tuple(out)
-
-
 def is_clique(g: WeightedGraph, nodes: set[int]) -> bool:
     """Independent pairwise-adjacency check, used to verify solver output."""
     members = sorted(nodes)
@@ -178,10 +125,10 @@ def write_dimacs(g: WeightedGraph, path: str | Path) -> None:
 def read_dimacs(path: str | Path) -> WeightedGraph:
     """Parse the format written by :func:`write_dimacs`; missing weights default to 1.
 
-    A record without exactly two integer fields, or with a node id outside
-    ``1..n``, is rejected with an error naming its line.
+    A record without exactly two integer fields, a negative node count, or a
+    node id outside ``1..n`` is rejected with an error naming its line.
     """
-    n = -1
+    n: int | None = None
     records: list[tuple[int, str, int, int]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         parts = line.split()
@@ -197,10 +144,12 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
         except ValueError:  # a field missing, one too many, or not an integer
             raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
         if kind == "p":
+            if a < 0:
+                raise ValueError(f"line {lineno}: negative node count {a}")
             n = a
         else:
             records.append((lineno, kind, a, b))
-    if n < 0:
+    if n is None:
         raise ValueError(f"{path}: missing 'p edge' line")
     weights = [1] * n
     adj = np.zeros((n, n), dtype=bool)

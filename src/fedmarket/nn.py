@@ -1,16 +1,14 @@
 """Minimal dense neural-network engine.
 
-MLP forward/backward, masked softmax, entropy/KL/cross-entropy kernels and a
+MLP forward/backward, masked softmax, entropy and cross-entropy kernels and a
 bias-corrected Adam optimizer. Every model predicts over a single global
 K-way label universe; a per-model set of active labels names the positions
 the model serves, and probabilities and predictions read those by index.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -200,12 +198,6 @@ def entropy(p: np.ndarray) -> np.ndarray:
     return -(p * logs).sum(axis=-1)
 
 
-def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) in nats of each row; both are clamped at the probability floor inside the logs."""
-    log_ratio = np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(q, PROB_FLOOR))
-    return (p * log_ratio).sum(axis=-1)
-
-
 @dataclass
 class AdamState:
     """Moments, two work buffers, step count and learning rate for one parameter array."""
@@ -306,36 +298,3 @@ def train_step(
     adam_step(opt, model.flat, backward(model, acts, dlogits))
     return loss
 
-
-def save_model(model: Mlp, path: str | Path) -> None:
-    """Write a checkpoint as self-describing JSON.
-
-    Schema: ``{"format": "fedmarket-mlp", "version": 1, "dims": [...],
-    "active_labels": [...], "layers": [{"w": flat list, "b": list}, ...]}``
-    with weights flattened row-major.
-    """
-    doc = {
-        "format": "fedmarket-mlp",
-        "version": 1,
-        "dims": list(model.dims),
-        "active_labels": sorted(model.active_labels),
-        "layers": [
-            {"w": w.ravel().tolist(), "b": b.tolist()}
-            for w, b in zip(model.weights, model.biases)
-        ],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> Mlp:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "fedmarket-mlp":
-        raise ValueError(f"{path}: not a fedmarket-mlp checkpoint")
-    dims = [int(d) for d in doc["dims"]]
-    model = Mlp(dims, np.zeros(_param_count(dims)), frozenset(int(c) for c in doc["active_labels"]))
-    layers = doc["layers"]
-    # Each layer must fill its own view, so a misshapen layer is rejected.
-    given = [layer["w"] for layer in layers] + [layer["b"] for layer in layers]
-    for view, values in zip(model.weights + model.biases, given, strict=True):
-        view[...] = np.reshape(values, view.shape)
-    return model

@@ -69,7 +69,6 @@ class BlobSpec:
     num_classes: int = 10
     per_class: int = 5000
     spread: float = 1.0
-    scale: float = 1.0
 
 
 @dataclass
@@ -418,10 +417,10 @@ class _Market:
         """Evaluation of every real consumer's global model on its validation
         shard, and on its test shard whenever validation reaches a new best."""
         for c in self.consumers:
-            val = evaluate(c.model, c.validation_shard, c.label_set)
+            val = evaluate(c.model, c.validation_shard)
             if val > self.best_val[c.id]:
                 self.best_val[c.id] = val
-                self.best_test[c.id] = evaluate(c.model, self.test_shards[c.id], c.label_set)
+                self.best_test[c.id] = evaluate(c.model, self.test_shards[c.id])
             recruited = self.recruit.get(c.id, [])
             self.rows.append(RoundRow(r, c.id, val, self.best_test[c.id], recruited))
 
@@ -441,7 +440,6 @@ def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
         b.per_class + test_per_class,
         b.spread,
         [cfg.seed, _S_BASE_DATA],
-        b.scale,
     )
     return split_per_class(full, b.per_class)
 

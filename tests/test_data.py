@@ -198,6 +198,17 @@ def test_idx_count_mismatch_rejected(tmp_path):
         load_idx(img, lbl)
 
 
+def test_idx_empty_without_num_classes_rejected(tmp_path):
+    images = np.zeros((0, 2, 2), dtype=np.uint8)
+    labels = np.zeros(0, dtype=np.uint8)
+    img, lbl = _write_idx_pair(tmp_path, images, labels)
+    with pytest.raises(IdxParseError, match=r"labels\.idx: no labels to infer the class count from"):
+        load_idx(img, lbl)
+    # Given the class count, zero images load as an empty dataset.
+    empty = load_idx(img, lbl, num_classes=3)
+    assert len(empty) == 0 and empty.num_classes == 3
+
+
 def test_idx_bad_magic_reports_offset(tmp_path):
     img = tmp_path / "bad.idx"
     img.write_bytes(struct.pack(">IIII", 0x999, 1, 2, 2) + bytes(4))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs, split_per_class
-from fedmarket.distill import contributor_masks, distill_loss, teacher_targets, uniform_weights
+from fedmarket.distill import contributor_masks, teacher_targets, uniform_weights
 from fedmarket.fed import (
     FLRoundConfig,
     evaluate,
@@ -19,6 +19,7 @@ from fedmarket.fed import (
 )
 from fedmarket.market import DataConsumer, DataOwner
 from fedmarket.nn import Mlp, clone_model, forward, init_adam, init_mlp, train_step
+from oracles import distill_loss
 
 
 def model_with(seed, dims=(4, 6, 3), active=None):
@@ -206,7 +207,7 @@ def test_iid_split_matches_pooled_training():
             consumer.model = run_fl_round(
                 consumer, owner_set, cfg, np.random.default_rng([9, r])
             )
-        return evaluate(consumer.model, val, consumer.label_set)
+        return evaluate(consumer.model, val)
 
     acc6 = run(owners6, 10)
     acc1 = run(pooled, 10)
@@ -237,9 +238,8 @@ def test_feddf_duplicate_teachers_match_single():
     g = model_with(13)
     local = local_train(g, ds, 1, 16, 0.001, np.random.default_rng(14))
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=2, batch_size=16)
-    one = feddf_round(g, [(local, 10)], pub, cfg, np.random.default_rng(15))
-    two = feddf_round(g, [(local, 10), (clone_model(local), 10)], pub, cfg,
-                      np.random.default_rng(15))
+    one = feddf_round([(local, 10)], pub, cfg, np.random.default_rng(15))
+    two = feddf_round([(local, 10), (clone_model(local), 10)], pub, cfg, np.random.default_rng(15))
     assert np.allclose(one.flat, two.flat, atol=1e-12)
 
 
@@ -262,7 +262,7 @@ def test_feddf_distillation_reduces_loss():
     student0 = fedavg_aggregate(locals_)
     before = feddf_loss(student0, [m for m, _ in locals_], pub, alpha=1.0)
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=5, batch_size=32)
-    student = feddf_round(g, locals_, pub, cfg, np.random.default_rng(19))
+    student = feddf_round(locals_, pub, cfg, np.random.default_rng(19))
     assert hashlib.sha256(student.flat.tobytes()).hexdigest() == FEDDF_DIGEST
     after = feddf_loss(student, [m for m, _ in locals_], pub, alpha=1.0)
     assert before > 0.01
@@ -275,9 +275,9 @@ def test_feddf_rejects_no_models_and_an_empty_pool():
     cfg = FLRoundConfig(method="feddf")
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="nothing to aggregate"):
-        feddf_round(g, [], UnlabeledDataset(ds.features), cfg, rng)
+        feddf_round([], UnlabeledDataset(ds.features), cfg, rng)
     with pytest.raises(ValueError, match="public distillation set is empty"):
-        feddf_round(g, [(clone_model(g), 10)], UnlabeledDataset(ds.features[:0]), cfg, rng)
+        feddf_round([(clone_model(g), 10)], UnlabeledDataset(ds.features[:0]), cfg, rng)
 
 
 def test_feddf_requires_public_set():
@@ -301,7 +301,7 @@ def test_evaluate_perfect_model_scores_one():
     ds = gen_blobs(4, 6, 50, 0.0, 22)  # spread 0: samples sit exactly on the means
     means = np.stack([ds.features[ds.labels == c][0] for c in range(4)])
     model = _perfect_model(means)
-    assert evaluate(model, ds, {0, 1, 2, 3}) == 1.0
+    assert evaluate(model, ds) == 1.0
 
 
 def test_evaluate_random_model_near_chance():
@@ -310,38 +310,26 @@ def test_evaluate_random_model_near_chance():
     labels = np.tile(np.arange(4), 500)
     ds = LabeledDataset(feats, labels, 4)
     model = init_mlp(8, [16], 4, {0, 1, 2, 3}, np.random.default_rng(24))
-    acc = evaluate(model, ds, {0, 1, 2, 3})
+    acc = evaluate(model, ds)
     assert abs(acc - 0.25) <= 0.05
-
-
-def test_evaluate_restricted_argmax():
-    ds = gen_blobs(4, 6, 20, 0.0, 25)
-    means = np.stack([ds.features[ds.labels == c][0] for c in range(4)])
-    model = _perfect_model(means)
-    sub = LabeledDataset(
-        ds.features[ds.labels < 2], ds.labels[ds.labels < 2], 4
-    )
-    assert evaluate(model, sub, {0, 1}) == 1.0
 
 
 def test_evaluate_invariant_to_positive_rescaling():
     ds = gen_blobs(3, 4, 40, 1.0, 26)
     model = model_with(27)
-    base = evaluate(model, ds, {0, 1, 2})
+    base = evaluate(model, ds)
     scaled = clone_model(model)
     scaled.weights[-1] *= 3.0
     scaled.biases[-1] *= 3.0
-    assert evaluate(scaled, ds, {0, 1, 2}) == base
+    assert evaluate(scaled, ds) == base
 
 
 def test_evaluate_validates_inputs():
     ds = gen_blobs(3, 4, 10, 1.0, 28)
     model = model_with(29, active={0, 1})
-    with pytest.raises(ValueError):
-        evaluate(model, ds, {0, 2})
     empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError):
-        evaluate(model, empty, {0, 1})
+        evaluate(model, empty)
 
 
 def test_config_validation():

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from fedmarket.maxclique import (
-    WeightedGraph,
-    brute_force,
-    is_clique,
-    read_dimacs,
-    solve,
-    write_dimacs,
-)
+from fedmarket.maxclique import WeightedGraph, is_clique, read_dimacs, solve, write_dimacs
+from oracles import brute_force
 
 
 def graph(weights, edges):
@@ -148,6 +142,7 @@ def test_dimacs_malformed_rejected(tmp_path):
     for text, message in [
         ("p vertex 3 2\n", "line 1: malformed problem line"),
         ("e 1 2\n", "missing 'p edge' line"),
+        ("p edge -1 0\n", "line 1: negative node count -1"),
         ("p edge 2 1\nn 2\n", "line 2: expected two integers, got 'n 2'"),
         ("p edge 2 1\ne 1\n", "line 2: expected two integers, got 'e 1'"),
         ("p edge 2 1\nn 1 x\n", "line 2: expected two integers"),

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -16,16 +15,14 @@ from fedmarket.nn import (
     forward,
     init_adam,
     init_mlp,
-    kl_div,
-    load_model,
     replicate,
-    save_model,
     softmax,
     train_step,
     unstack,
 )
 from fedmarket.data import gen_blobs
 from conftest import cross_entropy, max_grad_rel_error
+from oracles import kl_div
 
 
 def small_model(seed=0, dims=(4, 6, 3), active=None):
@@ -265,36 +262,6 @@ def test_gradient_matches_finite_differences_masked():
     assert max_grad_rel_error(m, x, cross_entropy(m, y)) <= 1e-3
 
 
-# ---------------------------------------------------------------- checkpoints
-
-def test_checkpoint_roundtrip(tmp_path):
-    m = init_mlp(4, [6, 5], 3, {0, 2}, np.random.default_rng(4))
-    path = tmp_path / "model.json"
-    save_model(m, path)
-    loaded = load_model(path)
-    assert loaded.dims == m.dims
-    assert loaded.active_labels == m.active_labels
-    assert np.array_equal(m.flat, loaded.flat)
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "x.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError):
-        load_model(path)
-    # One weight moved from the second layer to the first keeps the total count.
-    save_model(init_mlp(2, [3], 2, {0, 1}, np.random.default_rng(0)), path)
-    doc = json.loads(path.read_text())
-    doc["layers"][0]["w"].append(doc["layers"][1]["w"].pop())
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_model(path)
-    doc["layers"].pop()
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_model(path)
-
-
 def test_clone_is_independent():
     m = small_model()
     c = clone_model(m)
@@ -304,9 +271,8 @@ def test_clone_is_independent():
 
 
 # Pinned at the per-layer constructor: building a model from its flat buffer
-# must draw the same weights and write the same checkpoint bytes.
+# must draw the same weights.
 PIN_INIT_SHA256 = "55e9feccbf1d4130f137af1965b95488f245ab1bce98a68abef4b0585b857a11"
-PIN_CHECKPOINT_SHA256 = "e77b1372ba22b502ba07af5b9f2af89ac3c773fbaf79da20d51ea7a092c7b09e"
 
 
 def _pinned_model():
@@ -315,12 +281,6 @@ def _pinned_model():
 
 def test_init_mlp_bytes_are_pinned():
     assert hashlib.sha256(_pinned_model().flat.tobytes()).hexdigest() == PIN_INIT_SHA256
-
-
-def test_checkpoint_bytes_are_pinned(tmp_path):
-    path = tmp_path / "model.json"
-    save_model(_pinned_model(), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_CHECKPOINT_SHA256
 
 
 def test_unstacked_replicas_are_exact_and_independent():

@@ -59,6 +59,8 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"scenrio": "fedcdc"})
     with pytest.raises(ConfigError):
         config_from_dict({"fl": {"epochs": 3}})
+    with pytest.raises(ConfigError, match="unknown config key 'blobs.scale'"):
+        config_from_dict({"blobs": {"scale": 1.0}})
 
 
 def test_config_validation(tmp_path, capsys):
