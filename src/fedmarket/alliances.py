@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 
 # The largest consumer count whose full pass over the paper's group-structured
 # market (every subset a candidate) took at most 10 s on a 2-core x86 VM:
-# 5.2 s at 11 consumers, 27 s at 12.
+# 3.6 s at 11 consumers, 17 s at 12 (BENCH_12.json).
 MAX_ENUMERABLE_CONSUMERS = 11
 
 
@@ -94,7 +94,12 @@ def enumerate_candidates(
     """All consumer subsets whose shared task and contested owners pass the thresholds.
 
     An owner is contested by a subset iff every member bid positively on it
-    at some point in the history window (nonzero product of max bids).
+    at some point in the history window. Adding a member only shrinks a
+    subset's shared labels and contested owners, so both thresholds are
+    antimonotone: subsets of size k+1 are built only from the size-k subsets
+    that passed, each extended by a later consumer id, and no superset of a
+    failing subset is scored. Candidates come in size-then-lexicographic
+    order of their sorted ids and take consecutive uids in that order.
     """
     if len(consumers) > MAX_ENUMERABLE_CONSUMERS:
         raise ValueError(
@@ -103,25 +108,43 @@ def enumerate_candidates(
         )
     if any(c.is_synthetic for c in consumers):
         raise ValueError("synthetic consumers cannot join alliances")
-    bmax = max_bid_matrix(history)
     by_id = {c.id: c for c in consumers}
     ids = sorted(by_id)
-    row = {cid: i for i, cid in enumerate(ids)}
-    owner_ids = np.array([o.id for o in owners])
+    labels = [frozenset(by_id[c].label_set) for c in ids]
+    # Row i of the history is the i-th smallest id; owner j is bit j of a mask.
+    bid = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in max_bid_matrix(history) > 0
+    ]
+    owner_ids = [int(o.id) for o in owners]
+    owner_sets: dict[int, frozenset[int]] = {}
 
+    def contested(mask: int) -> frozenset[int]:
+        if mask not in owner_sets:
+            owner_sets[mask] = frozenset(
+                owner_ids[j] for j in range(mask.bit_length()) if mask >> j & 1
+            )
+        return owner_sets[mask]
+
+    def passes(shared: frozenset[int], mask: int) -> bool:
+        return len(shared) >= min_shared_labels and mask.bit_count() >= min_shared_owners
+
+    # (member positions, shared labels, contested-owner mask) of the passing subsets
+    level = [((i,), labels[i], bid[i]) for i in range(len(ids)) if passes(labels[i], bid[i])]
     out: list[AllianceCandidate] = []
     uid = uid_start
-    for size in range(2, len(ids) + 1):
-        for subset in combinations(ids, size):
-            shared = frozenset.intersection(*(by_id[c].label_set for c in subset))
-            if len(shared) < min_shared_labels:
-                continue
-            product = np.prod(bmax[[row[c] for c in subset], :], axis=0)
-            contested = frozenset(int(o) for o in owner_ids[product > 0])
-            if len(contested) < min_shared_owners:
-                continue
-            out.append(AllianceCandidate(uid, frozenset(subset), shared, contested))
+    while level:
+        extended = []
+        for members, prefix_labels, prefix_mask in level:
+            for j in range(members[-1] + 1, len(ids)):
+                shared, mask = prefix_labels & labels[j], prefix_mask & bid[j]
+                if passes(shared, mask):
+                    extended.append((members + (j,), shared, mask))
+        for members, shared, mask in extended:
+            participants = frozenset(ids[i] for i in members)
+            out.append(AllianceCandidate(uid, participants, shared, contested(mask)))
             uid += 1
+        level = extended
     return out
 
 
@@ -137,12 +160,11 @@ def default_policy(consumer: DataConsumer, offers: list[AnonOffer]) -> DCRespons
     smaller one, which weeds out the stack of near-identical alliances the
     enumeration produces.
     """
-    labels = sorted(set().union(*(o.shared_labels for o in offers)))
-    column = {label: j for j, label in enumerate(labels)}
+    size = np.array([len(o.shared_labels) for o in offers], dtype=np.intp)
+    flat = [label for o in offers for label in o.shared_labels]
+    labels = np.unique(flat)
     onehot = np.zeros((len(offers), len(labels)))
-    for i, o in enumerate(offers):
-        onehot[i, [column[label] for label in o.shared_labels]] = 1.0
-    size = onehot.sum(axis=1)
+    onehot[np.repeat(np.arange(len(offers)), size), np.searchsorted(labels, flat)] = 1.0
     conflicts = 2 * (onehot @ onehot.T) >= np.minimum.outer(size, size)
     np.fill_diagonal(conflicts, False)
     return DCResponse({o.uid for o in offers}, conflicts)
@@ -165,17 +187,19 @@ def offer_and_collect(
     by_uid = sorted(range(n), key=lambda i: candidates[i].uid)
     rank = np.empty(n, dtype=np.intp)
     rank[by_uid] = np.arange(n)
+    anon = [AnonOffer(c.uid, len(c.participants), c.shared_labels, c.contested) for c in candidates]
+    offered_to: dict[int, list[int]] = {}  # consumer id -> its candidates' positions, in order
+    for i, c in enumerate(candidates):
+        for pid in c.participants:
+            offered_to.setdefault(pid, []).append(i)
     # Conflicts in uid-rank space, so the upper triangle yields sorted pairs.
     conflicting = np.zeros((n, n), dtype=bool)
     accepted_by: dict[int, set[int]] = {}
     for consumer in consumers:
-        mine = [i for i, c in enumerate(candidates) if consumer.id in c.participants]
+        mine = offered_to.get(consumer.id)
         if not mine:
             continue
-        offers = [
-            AnonOffer(c.uid, len(c.participants), c.shared_labels, c.contested)
-            for c in (candidates[i] for i in mine)
-        ]
+        offers = [anon[i] for i in mine]
         response = policy(consumer, offers)
         unknown = set(response.accepted) - {o.uid for o in offers}
         matrix = np.asarray(response.conflicts, dtype=bool)
@@ -195,8 +219,10 @@ def offer_and_collect(
         if all(c.uid in accepted_by.get(pid, set()) for pid in c.participants)
     ]
     a, b = np.nonzero(np.triu(conflicting | conflicting.T, 1))
-    uids = [candidates[i].uid for i in by_uid]
-    return surviving, {(uids[i], uids[j]) for i, j in zip(a.tolist(), b.tolist())}
+    # An object array hands out the candidates' own uid objects, so the pairs
+    # share them instead of each holding two new ints.
+    uids = np.array([candidates[i].uid for i in by_uid], dtype=object)
+    return surviving, set(zip(uids[a].tolist(), uids[b].tolist()))
 
 
 def select_alliances(
@@ -210,12 +236,17 @@ def select_alliances(
     if not accepted:
         return []
     ordered = sorted(accepted, key=lambda c: c.uid)
-    uids = np.array([c.uid for c in ordered])
+    lo, span = ordered[0].uid, ordered[-1].uid - ordered[0].uid + 1
     n = len(ordered)
+    # position[uid - lo] is the uid's row, -1 where no candidate has it; the
+    # extra last slot, read through index -1 or span, serves uids out of range.
+    position = np.full(span + 1, -1, dtype=np.intp)
+    position[[c.uid - lo for c in ordered]] = np.arange(n)
+    pairs = np.fromiter(chain.from_iterable(conflicts), dtype=np.int64, count=2 * len(conflicts))
+    a, b = position[np.clip(pairs - lo, -1, span)].reshape(-1, 2).T
+    known = (a >= 0) & (b >= 0)
+    a, b = a[known], b[known]
     adj = ~np.eye(n, dtype=bool)
-    pairs = np.fromiter(chain.from_iterable(conflicts), dtype=uids.dtype, count=2 * len(conflicts))
-    pos = np.minimum(np.searchsorted(uids, pairs), n - 1).reshape(-1, 2)
-    a, b = pos[(uids[pos] == pairs.reshape(-1, 2)).all(axis=1)].T
     adj[a, b] = adj[b, a] = False
     graph = WeightedGraph([candidate_value(c) for c in ordered], adj)
     chosen, _ = solve(graph)

@@ -1,11 +1,17 @@
 """Reference implementations the tests check the library against.
 
 ``brute_force`` scans every node subset for the maximum-weight clique, the
-oracle for ``maxclique.solve``. ``distill_loss`` and ``kl_div`` evaluate the
-distillation objective whose gradient ``distill.distill_loss_grad`` computes.
+oracle for ``maxclique.solve``. ``full_scan_candidates`` scores every
+consumer subset, the oracle for ``alliances.enumerate_candidates``.
+``distill_loss`` and ``kl_div`` evaluate the distillation objective whose
+gradient ``distill.distill_loss_grad`` computes.
 """
+from itertools import combinations
+
 import numpy as np
 
+from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, AllianceCandidate
+from fedmarket.market import max_bid_matrix
 from fedmarket.maxclique import WeightedGraph
 from fedmarket.nn import PROB_FLOOR, softmax
 
@@ -61,6 +67,50 @@ def _bits(s: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         s ^= low
     return tuple(out)
+
+
+def full_scan_candidates(
+    consumers,
+    owners,
+    history,
+    min_shared_labels: int,
+    min_shared_owners: int,
+    uid_start: int = 0,
+) -> list[AllianceCandidate]:
+    """All consumer subsets whose shared task and contested owners pass the thresholds.
+
+    Scores every subset, in size-then-lexicographic order. An owner is
+    contested when the product of the members' max bids on it is nonzero,
+    which equals "every member bid positively" only while that product does
+    not underflow: for bids of at least 1e-25 and up to 11 members.
+    """
+    if len(consumers) > MAX_ENUMERABLE_CONSUMERS:
+        raise ValueError(
+            f"{len(consumers)} consumers exceeds the subset-enumeration guard "
+            f"({MAX_ENUMERABLE_CONSUMERS})"
+        )
+    if any(c.is_synthetic for c in consumers):
+        raise ValueError("synthetic consumers cannot join alliances")
+    bmax = max_bid_matrix(history)
+    by_id = {c.id: c for c in consumers}
+    ids = sorted(by_id)
+    row = {cid: i for i, cid in enumerate(ids)}
+    owner_ids = np.array([o.id for o in owners])
+
+    out: list[AllianceCandidate] = []
+    uid = uid_start
+    for size in range(2, len(ids) + 1):
+        for subset in combinations(ids, size):
+            shared = frozenset.intersection(*(by_id[c].label_set for c in subset))
+            if len(shared) < min_shared_labels:
+                continue
+            product = np.prod(bmax[[row[c] for c in subset], :], axis=0)
+            contested = frozenset(int(o) for o in owner_ids[product > 0])
+            if len(contested) < min_shared_owners:
+                continue
+            out.append(AllianceCandidate(uid, frozenset(subset), shared, contested))
+            uid += 1
+    return out
 
 
 def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -19,10 +20,11 @@ from fedmarket.alliances import (
     offer_and_collect,
     select_alliances,
 )
-from fedmarket.data import gen_blobs
-from fedmarket.market import DataConsumer
+from fedmarket.data import LabeledDataset, gen_blobs
+from fedmarket.market import BiddingHistory, DataConsumer, DataOwner, record_bids
 from fedmarket.nn import init_mlp
 from conftest import SHARED_LABELS as SHARED, group_market, label_shard, paper_market
+from oracles import full_scan_candidates
 
 K = 10
 
@@ -82,6 +84,64 @@ def test_enumeration_guard_boundary():
     consumers, owners, history = group_market(MAX_ENUMERABLE_CONSUMERS + 1, [7, 0])
     with pytest.raises(ValueError, match="guard"):
         enumerate_candidates(consumers, owners, history, 2, 2)
+
+
+def test_contested_owners_need_only_positive_bids():
+    # Both consumers bid 1e-200 on both owners: the bids' product underflows
+    # to 0.0, but every member bid positively, so both owners are contested.
+    base = gen_blobs(K, 4, 40, 0.5, 1)
+    labels = frozenset({0, 1})
+    consumers = [
+        DataConsumer(i, labels, init_mlp(4, [6], K, labels, np.random.default_rng(i)),
+                     _shard(base, labels))
+        for i in range(2)
+    ]
+    owners = [DataOwner(j, _shard(base, labels), labels) for j in range(2)]
+    history = record_bids(BiddingHistory(1, 2, 2), 0, np.full((2, 2), 1e-200))
+    (cand,) = enumerate_candidates(consumers, owners, history, 2, 2)
+    assert cand.participants == frozenset({0, 1})
+    assert cand.contested == frozenset({0, 1})
+
+
+_N_LABELS = 6
+_MODEL = init_mlp(2, [2], _N_LABELS, set(range(_N_LABELS)), np.random.default_rng(0))
+_ONE_ROW = LabeledDataset(np.zeros((1, 2)), np.zeros(1, dtype=int), _N_LABELS)
+_NO_ROWS = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), _N_LABELS)
+_BIDS = st.sampled_from([0.0, 0.0, 1e-3, 0.5, 1.0, 7.0])
+
+
+@st.composite
+def _random_markets(draw):
+    """Consumers (in shuffled order, with gaps in their ids), owners and a history
+    in which some consumers' rows are zero in every round."""
+    ids = draw(st.lists(st.integers(0, 30), max_size=7, unique=True))
+    n_dc, n_do = len(ids), draw(st.integers(0, 8))
+    consumers = [
+        DataConsumer(cid, draw(st.frozensets(st.integers(0, _N_LABELS - 1), min_size=1)),
+                     _MODEL, _NO_ROWS)
+        for cid in ids
+    ]
+    order = draw(st.permutations(range(n_dc)))
+    owner_ids = draw(st.lists(st.integers(0, 50), min_size=n_do, max_size=n_do, unique=True))
+    owners = [DataOwner(oid, _ONE_ROW, frozenset({0})) for oid in owner_ids]
+    silent = draw(st.lists(st.booleans(), min_size=n_dc, max_size=n_dc))
+    span = draw(st.integers(1, 3))
+    history = BiddingHistory(span, n_dc, n_do)
+    for r in range(span):
+        cells = draw(st.lists(_BIDS, min_size=n_dc * n_do, max_size=n_dc * n_do))
+        bids = np.array(cells).reshape(n_dc, n_do)
+        bids[np.array(silent, dtype=bool)] = 0.0
+        record_bids(history, r, bids)
+    return [consumers[i] for i in order], owners, history
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_markets(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 100))
+def test_enumeration_matches_full_scan_oracle(market, min_labels, min_owners, uid_start):
+    consumers, owners, history = market
+    got = enumerate_candidates(consumers, owners, history, min_labels, min_owners, uid_start)
+    want = full_scan_candidates(consumers, owners, history, min_labels, min_owners, uid_start)
+    assert got == want
 
 
 def test_enumeration_rejects_synthetic_consumers():
@@ -279,6 +339,7 @@ def test_select_paper_instance_matches_brute_force():
 
 def test_select_matches_brute_force_on_random_instances():
     rng = np.random.default_rng(42)
+    gaps = np.random.default_rng(43)
     for _ in range(50):
         n = int(rng.integers(1, 15))
         cands = [
@@ -297,6 +358,17 @@ def test_select_matches_brute_force_on_random_instances():
                     conflicts.add((a, b))
         got = select_alliances(cands, conflicts)
         assert sum(candidate_value(c) for c in got) == _brute_force_select(cands, conflicts)
+        # The same instance under uids with gaps, plus pairs naming uids that
+        # no candidate has (in a gap, below the smallest, above the largest).
+        uids = sorted(int(u) for u in gaps.choice(np.arange(5, 10 * n + 5), n, replace=False))
+        gapped = [replace(c, uid=uids[c.uid]) for c in cands]
+        strays = [int(s) for s in gaps.integers(0, uids[-1] + 6, 6) if s not in uids]
+        gapped_conflicts = {(uids[a], uids[b]) for a, b in conflicts}
+        gapped_conflicts |= {(s, uids[int(gaps.integers(n))]) for s in strays}
+        gapped_conflicts |= {(uids[int(gaps.integers(n))], s) for s in strays}
+        got = select_alliances(gapped, gapped_conflicts)
+        assert [c.uid for c in got] == [uids[c.uid] for c in select_alliances(cands, conflicts)]
+        assert sum(candidate_value(c) for c in got) == _brute_force_select(gapped, gapped_conflicts)
 
 
 def test_group_market_selection_golden():
