@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 
 # The largest consumer count whose full pass over the paper's group-structured
 # market (every subset a candidate) took at most 10 s on a 2-core x86 VM:
-# 3.6 s at 11 consumers, 17 s at 12 (BENCH_12.json).
+# 3.7 s at 11 consumers, 20 s at 12 (BENCH_12.json).
 MAX_ENUMERABLE_CONSUMERS = 11
 
 
@@ -111,38 +111,29 @@ def enumerate_candidates(
     by_id = {c.id: c for c in consumers}
     ids = sorted(by_id)
     labels = [frozenset(by_id[c].label_set) for c in ids]
-    # Row i of the history is the i-th smallest id; owner j is bit j of a mask.
-    bid = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in max_bid_matrix(history) > 0
+    # Row i of the history is the i-th smallest id.
+    bid_on = [
+        frozenset(int(o.id) for o, bid in zip(owners, row) if bid > 0)
+        for row in max_bid_matrix(history)
     ]
-    owner_ids = [int(o.id) for o in owners]
-    owner_sets: dict[int, frozenset[int]] = {}
 
-    def contested(mask: int) -> frozenset[int]:
-        if mask not in owner_sets:
-            owner_sets[mask] = frozenset(
-                owner_ids[j] for j in range(mask.bit_length()) if mask >> j & 1
-            )
-        return owner_sets[mask]
+    def passes(shared: frozenset[int], contested: frozenset[int]) -> bool:
+        return len(shared) >= min_shared_labels and len(contested) >= min_shared_owners
 
-    def passes(shared: frozenset[int], mask: int) -> bool:
-        return len(shared) >= min_shared_labels and mask.bit_count() >= min_shared_owners
-
-    # (member positions, shared labels, contested-owner mask) of the passing subsets
-    level = [((i,), labels[i], bid[i]) for i in range(len(ids)) if passes(labels[i], bid[i])]
+    # (member positions, shared labels, contested owners) of the passing subsets
+    level = [((i,), labels[i], bid_on[i]) for i in range(len(ids)) if passes(labels[i], bid_on[i])]
     out: list[AllianceCandidate] = []
     uid = uid_start
     while level:
         extended = []
-        for members, prefix_labels, prefix_mask in level:
+        for members, prefix_labels, prefix_owners in level:
             for j in range(members[-1] + 1, len(ids)):
-                shared, mask = prefix_labels & labels[j], prefix_mask & bid[j]
-                if passes(shared, mask):
-                    extended.append((members + (j,), shared, mask))
-        for members, shared, mask in extended:
+                shared, contested = prefix_labels & labels[j], prefix_owners & bid_on[j]
+                if passes(shared, contested):
+                    extended.append((members + (j,), shared, contested))
+        for members, shared, contested in extended:
             participants = frozenset(ids[i] for i in members)
-            out.append(AllianceCandidate(uid, participants, shared, contested(mask)))
+            out.append(AllianceCandidate(uid, participants, shared, contested))
             uid += 1
         level = extended
     return out

@@ -16,12 +16,6 @@ log = logging.getLogger(__name__)
 
 # FedDF distills on the soft loss only (uniform teacher averaging).
 FEDDF_ALPHA = 1.0
-# Evaluation forwards a shard in chunks of the default training batch, so each
-# of its GEMMs has a shape a training step already issues. OpenBLAS hands only
-# larger GEMMs to its worker threads, which are slow to wake: on a 2-core x86
-# VM, a 2000-row forward after 10 ms idle took a median of 18 ms with two
-# threads, against 2 ms with one thread or in 32-row chunks.
-EVAL_CHUNK_ROWS = 32
 
 
 @dataclass
@@ -159,9 +153,6 @@ def evaluate(model: Mlp, shard: LabeledDataset) -> float:
     if len(shard) == 0:
         raise ValueError("cannot evaluate on an empty shard")
     cols = model.active_index
-    x = shard.features
-    logits = np.concatenate(
-        [forward(model, x[i : i + EVAL_CHUNK_ROWS]) for i in range(0, len(x), EVAL_CHUNK_ROWS)]
-    )
+    logits = forward(model, shard.features)
     pred = cols[np.argmax(logits[:, cols], axis=1)]
     return float((pred == shard.labels).mean())

@@ -115,7 +115,7 @@ def _random_markets(draw):
     """Consumers (in shuffled order, with gaps in their ids), owners and a history
     in which some consumers' rows are zero in every round."""
     ids = draw(st.lists(st.integers(0, 30), max_size=7, unique=True))
-    n_dc, n_do = len(ids), draw(st.integers(0, 8))
+    n_dc, n_do = len(ids), draw(st.integers(0, 20))
     consumers = [
         DataConsumer(cid, draw(st.frozensets(st.integers(0, _N_LABELS - 1), min_size=1)),
                      _MODEL, _NO_ROWS)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmarket import distill, fed, sim
 from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs, split_per_class
 from fedmarket.distill import contributor_masks, teacher_targets, uniform_weights
 from fedmarket.fed import (
@@ -20,7 +19,6 @@ from fedmarket.fed import (
 )
 from fedmarket.market import DataConsumer, DataOwner
 from fedmarket.nn import Mlp, clone_model, forward, init_adam, init_mlp, train_step
-from conftest import tiny_cfg
 from oracles import distill_loss
 
 
@@ -324,23 +322,6 @@ def test_evaluate_invariant_to_positive_rescaling():
     scaled.weights[-1] *= 3.0
     scaled.biases[-1] *= 3.0
     assert evaluate(scaled, ds) == base
-
-
-def test_no_forward_takes_more_rows_than_a_batch(monkeypatch):
-    # Evaluation and the teacher table forward in batch-sized chunks, so every
-    # GEMM of a run has a shape a training step already issues.
-    rows = {fed: [], distill: []}
-    for module, seen in rows.items():
-        def recorded(model, x, real=module.forward, seen=seen):
-            seen.append(x.shape[0])
-            return real(model, x)
-
-        monkeypatch.setattr(module, "forward", recorded)
-    cfg = tiny_cfg("fedcdc")
-    assert cfg.fl.batch_size == cfg.distill.batch_size
-    sim.run_scenario(cfg)
-    assert rows[fed] and rows[distill]
-    assert max(rows[fed] + rows[distill]) <= cfg.fl.batch_size
 
 
 def test_evaluate_validates_inputs():
