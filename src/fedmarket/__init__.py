@@ -3,6 +3,7 @@
 from .alliances import (
     Alliance,
     AllianceCandidate,
+    Conflicts,
     DCResponse,
     candidate_value,
     create_alliances,

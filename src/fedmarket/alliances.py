@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +21,10 @@ from .nn import init_mlp
 
 log = logging.getLogger(__name__)
 
-# The largest consumer count whose full pass over the paper's group-structured
-# market (every subset a candidate) took at most 10 s on a 2-core x86 VM:
-# 3.7 s at 11 consumers, 20 s at 12 (BENCH_12.json).
+# The largest consumer count whose every measured full pass over the paper's
+# group-structured market (every subset a candidate) took at most 10 s on a
+# 2-core x86 VM: 1.0-1.7 s at 11 consumers; 8.6-10.8 s at 12, of which
+# maxclique.solve took 7.0-9.0 s, so solve is what holds it (BENCH_13.json).
 MAX_ENUMERABLE_CONSUMERS = 11
 
 
@@ -63,6 +63,43 @@ class DCResponse:
 
     accepted: set[int]
     conflicts: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Conflicts:
+    """The pairs of candidates that may not be chosen together.
+
+    ``uids`` are the candidates' uids, strictly increasing; ``matrix[i, j]``
+    marks that the candidates ``uids[i]`` and ``uids[j]`` conflict. The
+    matrix is symmetric with a False diagonal. Its length and iteration are
+    those of the pair set: each conflicting pair once, as a
+    (smaller uid, larger uid) tuple of ints.
+    """
+
+    uids: np.ndarray
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.uids)
+        if self.uids.dtype != np.int64 or self.uids.shape != (n,):
+            raise ValueError(f"uids must be a 1-D int64 array, got {self.uids.dtype} {self.uids.shape}")
+        if self.matrix.dtype != bool or self.matrix.shape != (n, n):
+            raise ValueError(
+                f"matrix must be a {n} x {n} boolean array, got {self.matrix.dtype} {self.matrix.shape}"
+            )
+        if np.any(self.uids[1:] <= self.uids[:-1]):
+            raise ValueError("uids must be strictly increasing")
+        if not np.array_equal(self.matrix, self.matrix.T):
+            raise ValueError("conflict matrix must be symmetric")
+        if self.matrix.diagonal().any():
+            raise ValueError("no candidate conflicts with itself")
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.matrix)) // 2
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        a, b = np.nonzero(np.triu(self.matrix, 1))
+        return zip(self.uids[a].tolist(), self.uids[b].tolist())
 
 
 @dataclass
@@ -165,14 +202,13 @@ def offer_and_collect(
     candidates: Sequence[AllianceCandidate],
     consumers: Sequence[DataConsumer],
     policy: PolicyFn = default_policy,
-) -> tuple[list[AllianceCandidate], set[tuple[int, int]]]:
+) -> tuple[list[AllianceCandidate], Conflicts]:
     """Anonymized offer round: a candidate survives only if all members accept.
 
-    Returns the surviving candidates and the union of all conflicting pairs,
-    each as a (smaller uid, larger uid) tuple. A response that accepts an
-    unknown uid, or whose conflict matrix does not fit its offers, is
-    discarded (and logged), which makes that consumer's offers fail the
-    unanimity rule.
+    Returns the surviving candidates and the union of all consumers'
+    conflicts over every candidate. A response that accepts an unknown uid,
+    or whose conflict matrix does not fit its offers, is discarded (and
+    logged), which makes that consumer's offers fail the unanimity rule.
     """
     n = len(candidates)
     by_uid = sorted(range(n), key=lambda i: candidates[i].uid)
@@ -183,7 +219,7 @@ def offer_and_collect(
     for i, c in enumerate(candidates):
         for pid in c.participants:
             offered_to.setdefault(pid, []).append(i)
-    # Conflicts in uid-rank space, so the upper triangle yields sorted pairs.
+    # Conflicts in uid-rank space, the order of Conflicts.uids.
     conflicting = np.zeros((n, n), dtype=bool)
     accepted_by: dict[int, set[int]] = {}
     for consumer in consumers:
@@ -209,36 +245,32 @@ def offer_and_collect(
         for c in candidates
         if all(c.uid in accepted_by.get(pid, set()) for pid in c.participants)
     ]
-    a, b = np.nonzero(np.triu(conflicting | conflicting.T, 1))
-    # An object array hands out the candidates' own uid objects, so the pairs
-    # share them instead of each holding two new ints.
-    uids = np.array([candidates[i].uid for i in by_uid], dtype=object)
-    return surviving, set(zip(uids[a].tolist(), uids[b].tolist()))
+    conflicting |= conflicting.T
+    np.fill_diagonal(conflicting, False)
+    uids = np.array([candidates[i].uid for i in by_uid], dtype=np.int64)
+    return surviving, Conflicts(uids, conflicting)
 
 
 def select_alliances(
     accepted: Sequence[AllianceCandidate],
-    conflicts: set[tuple[int, int]],
+    conflicts: Conflicts,
 ) -> list[AllianceCandidate]:
     """Maximum-total-value conflict-free subset, via the weighted max-clique solver.
 
-    Pairs naming a uid that is not among ``accepted`` are ignored.
+    Every accepted uid must be in ``conflicts``; candidates of the relation
+    that are not among ``accepted`` are left out.
     """
     if not accepted:
         return []
     ordered = sorted(accepted, key=lambda c: c.uid)
-    lo, span = ordered[0].uid, ordered[-1].uid - ordered[0].uid + 1
-    n = len(ordered)
-    # position[uid - lo] is the uid's row, -1 where no candidate has it; the
-    # extra last slot, read through index -1 or span, serves uids out of range.
-    position = np.full(span + 1, -1, dtype=np.intp)
-    position[[c.uid - lo for c in ordered]] = np.arange(n)
-    pairs = np.fromiter(chain.from_iterable(conflicts), dtype=np.int64, count=2 * len(conflicts))
-    a, b = position[np.clip(pairs - lo, -1, span)].reshape(-1, 2).T
-    known = (a >= 0) & (b >= 0)
-    a, b = a[known], b[known]
-    adj = ~np.eye(n, dtype=bool)
-    adj[a, b] = adj[b, a] = False
+    uids = np.array([c.uid for c in ordered], dtype=np.int64)
+    pos = np.searchsorted(conflicts.uids, uids)
+    # A sentinel past the largest accepted uid catches positions past the end.
+    found = np.append(conflicts.uids, uids[-1] + 1)[pos] == uids
+    if not found.all():
+        raise ValueError(f"candidate uid {uids[~found][0]} is not in the conflict relation")
+    adj = ~conflicts.matrix.take(pos, axis=0).take(pos, axis=1)
+    np.fill_diagonal(adj, False)
     graph = WeightedGraph([candidate_value(c) for c in ordered], adj)
     chosen, _ = solve(graph)
     return [ordered[i] for i in sorted(chosen)]
@@ -308,7 +340,9 @@ def instantiate(
 
 
 def _filter_shard(shard: LabeledDataset, labels: frozenset[int]) -> LabeledDataset:
-    keep = np.isin(shard.labels, sorted(labels))
+    table = np.zeros(shard.num_classes, dtype=bool)
+    table[list(labels)] = True
+    keep = table[shard.labels]
     return LabeledDataset(shard.features[keep], shard.labels[keep], shard.num_classes)
 
 

@@ -3,14 +3,24 @@
 ``brute_force`` scans every node subset for the maximum-weight clique, the
 oracle for ``maxclique.solve``. ``full_scan_candidates`` scores every
 consumer subset, the oracle for ``alliances.enumerate_candidates``.
+``offer_and_collect_pairs`` returns the conflicts as a set of uid tuples,
+the oracle for ``alliances.offer_and_collect``; ``conflicts_from_pairs``
+builds the ``alliances.Conflicts`` that tests hand to ``select_alliances``.
 ``distill_loss`` and ``kl_div`` evaluate the distillation objective whose
 gradient ``distill.distill_loss_grad`` computes.
 """
+import logging
 from itertools import combinations
 
 import numpy as np
 
-from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, AllianceCandidate
+from fedmarket.alliances import (
+    MAX_ENUMERABLE_CONSUMERS,
+    AllianceCandidate,
+    AnonOffer,
+    Conflicts,
+    default_policy,
+)
 from fedmarket.market import max_bid_matrix
 from fedmarket.maxclique import WeightedGraph
 from fedmarket.nn import PROB_FLOOR, softmax
@@ -111,6 +121,73 @@ def full_scan_candidates(
             out.append(AllianceCandidate(uid, frozenset(subset), shared, contested))
             uid += 1
     return out
+
+
+log = logging.getLogger(__name__)
+
+
+def offer_and_collect_pairs(candidates, consumers, policy=default_policy):
+    """Anonymized offer round: a candidate survives only if all members accept.
+
+    Returns the surviving candidates and the union of all conflicting pairs,
+    each as a (smaller uid, larger uid) tuple. A response that accepts an
+    unknown uid, or whose conflict matrix does not fit its offers, is
+    discarded (and logged), which makes that consumer's offers fail the
+    unanimity rule.
+    """
+    n = len(candidates)
+    by_uid = sorted(range(n), key=lambda i: candidates[i].uid)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_uid] = np.arange(n)
+    anon = [AnonOffer(c.uid, len(c.participants), c.shared_labels, c.contested) for c in candidates]
+    offered_to: dict[int, list[int]] = {}  # consumer id -> its candidates' positions, in order
+    for i, c in enumerate(candidates):
+        for pid in c.participants:
+            offered_to.setdefault(pid, []).append(i)
+    # Conflicts in uid-rank space, so the upper triangle yields sorted pairs.
+    conflicting = np.zeros((n, n), dtype=bool)
+    accepted_by: dict[int, set[int]] = {}
+    for consumer in consumers:
+        mine = offered_to.get(consumer.id)
+        if not mine:
+            continue
+        offers = [anon[i] for i in mine]
+        response = policy(consumer, offers)
+        unknown = set(response.accepted) - {o.uid for o in offers}
+        matrix = np.asarray(response.conflicts, dtype=bool)
+        if unknown or matrix.shape != (len(mine), len(mine)):
+            log.warning(
+                "consumer %d response rejected: unknown uids %s, conflict matrix %s for %d offers",
+                consumer.id, sorted(unknown), matrix.shape, len(mine),
+            )
+            accepted_by[consumer.id] = set()
+            continue
+        accepted_by[consumer.id] = set(response.accepted)
+        idx = rank[mine]
+        conflicting[np.ix_(idx, idx)] |= matrix
+    surviving = [
+        c
+        for c in candidates
+        if all(c.uid in accepted_by.get(pid, set()) for pid in c.participants)
+    ]
+    a, b = np.nonzero(np.triu(conflicting | conflicting.T, 1))
+    # An object array hands out the candidates' own uid objects, so the pairs
+    # share them instead of each holding two new ints.
+    uids = np.array([candidates[i].uid for i in by_uid], dtype=object)
+    return surviving, set(zip(uids[a].tolist(), uids[b].tolist()))
+
+
+def conflicts_from_pairs(uids, pairs) -> Conflicts:
+    """The relation over ``uids`` and every uid a pair names, holding exactly ``pairs``.
+
+    A pair may name its uids in either order.
+    """
+    ordered = np.array(sorted(set(uids).union(*pairs)), dtype=np.int64)
+    matrix = np.zeros((len(ordered), len(ordered)), dtype=bool)
+    if pairs:
+        a, b = np.searchsorted(ordered, np.array(list(pairs), dtype=np.int64)).T
+        matrix[a, b] = matrix[b, a] = True
+    return Conflicts(ordered, matrix)
 
 
 def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:

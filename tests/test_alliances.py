@@ -1,6 +1,7 @@
 import logging
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from fedmarket.alliances import (
     MAX_ENUMERABLE_CONSUMERS,
     AllianceCandidate,
     AnonOffer,
+    Conflicts,
     DCResponse,
     candidate_value,
     create_alliances,
+    _filter_shard,
     default_policy,
     enumerate_candidates,
     instantiate,
@@ -24,7 +27,7 @@ from fedmarket.data import LabeledDataset, gen_blobs
 from fedmarket.market import BiddingHistory, DataConsumer, DataOwner, record_bids
 from fedmarket.nn import init_mlp
 from conftest import SHARED_LABELS as SHARED, group_market, label_shard, paper_market
-from oracles import full_scan_candidates
+from oracles import conflicts_from_pairs, full_scan_candidates, offer_and_collect_pairs
 
 K = 10
 
@@ -169,7 +172,7 @@ def test_offer_accept_all_without_conflicts():
 
     surviving, conflicts = offer_and_collect(cands, consumers, accept_all)
     assert surviving == cands
-    assert conflicts == set()
+    assert set(conflicts) == set()
 
 
 def test_offer_unanimity_rule():
@@ -207,7 +210,7 @@ def test_offer_conflict_pairs_survive_individually():
         for symmetric in (True, False):
             surviving, conflicts = offer_and_collect(given, consumers, reject_pair)
             assert {c.uid for c in surviving} == {c.uid for c in cands}
-            assert conflicts == {(u1, u2)}
+            assert set(conflicts) == {(u1, u2)}
 
 
 def test_offer_unknown_uid_response_discarded(caplog):
@@ -296,6 +299,77 @@ def test_offer_wrong_shape_response_discarded(caplog):
     assert any("conflict matrix" in rec.message for rec in caplog.records)
 
 
+_RESPONSE_KINDS = ["symmetric", "one_sided", "partial", "wrong_shape", "unknown_uid"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=4), max_size=14),
+    st.lists(st.sampled_from(_RESPONSE_KINDS), min_size=6, max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_offer_conflicts_match_the_tuple_set_oracle(participant_sets, kinds, seed, shuffle):
+    rng = np.random.default_rng(seed)
+    # gapped uids, offered in a shuffled order
+    uids = (np.cumsum(rng.integers(1, 4, len(participant_sets))) - 5).tolist()
+    cands = [
+        AllianceCandidate(u, members, frozenset({0, 1}), frozenset({0}))
+        for u, members in zip(uids, participant_sets)
+    ]
+    shuffle.shuffle(cands)
+    consumers = [SimpleNamespace(id=i) for i in range(6)]
+
+    def policy(consumer, offers):
+        draw = np.random.default_rng([seed, consumer.id])
+        marks = draw.random((len(offers), len(offers))) < 0.3
+        accepted = {o.uid for o in offers}
+        kind = kinds[consumer.id]
+        if kind == "symmetric":
+            marks |= marks.T
+        elif kind == "one_sided":
+            marks = np.tril(marks)
+        elif kind == "partial":
+            accepted = {o.uid for o in offers if draw.random() < 0.7}
+        elif kind == "wrong_shape":
+            marks = marks[:-1]
+        else:
+            accepted.add(max(uids) + 1)
+        return DCResponse(accepted, marks)
+
+    surviving, conflicts = offer_and_collect(cands, consumers, policy)
+    want_surviving, want_pairs = offer_and_collect_pairs(cands, consumers, policy)
+    assert surviving == want_surviving
+    assert conflicts.uids.tolist() == sorted(uids)
+    pairs = list(conflicts)
+    assert set(pairs) == want_pairs
+    assert len(conflicts) == len(pairs) == len(want_pairs)
+    assert all(type(a) is int and type(b) is int and a < b for a, b in pairs)
+
+
+def test_conflicts_checks_its_invariants():
+    uids = np.array([1, 4, 9], dtype=np.int64)
+    matrix = np.zeros((3, 3), dtype=bool)
+    matrix[0, 2] = matrix[2, 0] = True
+    conflicts = Conflicts(uids, matrix)
+    assert list(conflicts) == [(1, 9)] and len(conflicts) == 1
+    one_sided, diagonal = matrix.copy(), matrix.copy()
+    one_sided[2, 0] = False
+    diagonal[1, 1] = True
+    bad = [
+        (uids.astype(np.int32), matrix, "int64"),
+        (uids, matrix[:2], "3 x 3 boolean"),
+        (uids, matrix.astype(np.uint8), "3 x 3 boolean"),
+        (uids[::-1].copy(), matrix, "strictly increasing"),
+        (np.array([1, 4, 4], dtype=np.int64), matrix, "strictly increasing"),
+        (uids, one_sided, "symmetric"),
+        (uids, diagonal, "itself"),
+    ]
+    for bad_uids, bad_matrix, message in bad:
+        with pytest.raises(ValueError, match=message):
+            Conflicts(bad_uids, bad_matrix)
+
+
 # ---------------------------------------------------------------- selection
 
 def _brute_force_select(cands, conflicts):
@@ -315,17 +389,27 @@ def _brute_force_select(cands, conflicts):
 def test_select_nonconflicting_takes_both():
     a = AllianceCandidate(0, frozenset({1, 2}), frozenset({0, 1}), frozenset(range(6)))
     b = AllianceCandidate(1, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
-    out = select_alliances([a, b], set())
+    out = select_alliances([a, b], conflicts_from_pairs([0, 1], set()))
     assert out == [a, b]
     # pairs naming a uid that is not among the candidates are ignored
-    assert select_alliances([a, b], {(0, 7), (5, 1), (-3, 0)}) == [a, b]
+    assert select_alliances([a, b], conflicts_from_pairs([0, 1], {(0, 7), (5, 1), (-3, 0)})) == [a, b]
 
 
 def test_select_conflicting_keeps_heavier():
     a = AllianceCandidate(0, frozenset({1, 2}), frozenset({0, 1}), frozenset(range(6)))
     b = AllianceCandidate(1, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
-    out = select_alliances([a, b], {(0, 1)})
+    out = select_alliances([a, b], conflicts_from_pairs([0, 1], {(0, 1)}))
     assert out == [b]
+
+
+def test_select_rejects_a_uid_missing_from_the_conflicts():
+    a = AllianceCandidate(0, frozenset({1, 2}), frozenset({0, 1}), frozenset(range(6)))
+    b = AllianceCandidate(5, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
+    # below, inside and above the relation's uids, and with an empty relation
+    for uids in ([1, 5], [0, 3, 7], [0, 1], []):
+        missing = min({0, 5} - set(uids))
+        with pytest.raises(ValueError, match=f"candidate uid {missing} is not in the conflict"):
+            select_alliances([a, b], conflicts_from_pairs(uids, set()))
 
 
 def test_select_paper_instance_matches_brute_force():
@@ -356,7 +440,7 @@ def test_select_matches_brute_force_on_random_instances():
             for b in range(a + 1, n):
                 if rng.random() < 0.4:
                     conflicts.add((a, b))
-        got = select_alliances(cands, conflicts)
+        got = select_alliances(cands, conflicts_from_pairs(range(n), conflicts))
         assert sum(candidate_value(c) for c in got) == _brute_force_select(cands, conflicts)
         # The same instance under uids with gaps, plus pairs naming uids that
         # no candidate has (in a gap, below the smallest, above the largest).
@@ -366,8 +450,9 @@ def test_select_matches_brute_force_on_random_instances():
         gapped_conflicts = {(uids[a], uids[b]) for a, b in conflicts}
         gapped_conflicts |= {(s, uids[int(gaps.integers(n))]) for s in strays}
         gapped_conflicts |= {(uids[int(gaps.integers(n))], s) for s in strays}
-        got = select_alliances(gapped, gapped_conflicts)
-        assert [c.uid for c in got] == [uids[c.uid] for c in select_alliances(cands, conflicts)]
+        got = select_alliances(gapped, conflicts_from_pairs(uids, gapped_conflicts))
+        plain = select_alliances(cands, conflicts_from_pairs(range(n), conflicts))
+        assert [c.uid for c in got] == [uids[c.uid] for c in plain]
         assert sum(candidate_value(c) for c in got) == _brute_force_select(gapped, gapped_conflicts)
 
 
@@ -388,7 +473,7 @@ def test_group_market_selection_golden():
 
 
 def test_select_empty_input():
-    assert select_alliances([], set()) == []
+    assert select_alliances([], conflicts_from_pairs([], set())) == []
 
 
 # ---------------------------------------------------------------- instantiation
@@ -433,6 +518,24 @@ def test_instantiate_union_labels_and_validation_filter():
     assert set(np.unique(shard.labels)) == {2, 3}
     expected = sum(int(np.isin(c.validation_shard.labels, [2, 3]).sum()) for c in consumers)
     assert len(shard.labels) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 40),
+    st.frozensets(st.integers(0, 11)),
+    st.integers(0, 2**32 - 1),
+)
+def test_filter_shard_matches_isin(num_classes, n, labels, seed):
+    rng = np.random.default_rng(seed)
+    shard = LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, num_classes, n), num_classes)
+    for subset in (frozenset(c for c in labels if c < num_classes), frozenset()):
+        keep = np.isin(shard.labels, sorted(subset))
+        got = _filter_shard(shard, subset)
+        assert np.array_equal(got.features, shard.features[keep])
+        assert np.array_equal(got.labels, shard.labels[keep])
+        assert got.num_classes == num_classes
 
 
 def test_instantiate_skips_unaffordable(caplog):
