@@ -14,7 +14,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .data import LabeledDataset
 from .market import BiddingHistory, DataConsumer, DataOwner, max_bid_matrix
 from .maxclique import WeightedGraph, solve
 from .nn import init_mlp
@@ -288,10 +287,10 @@ def instantiate(
     """Create a synthetic consumer per selected candidate and split the budget.
 
     The synthetic model predicts over the union of the participants' label
-    sets; its task (and bidding interest) is the shared label set, and its
-    validation data is each participant's validation samples restricted to
-    the shared labels. Participants pay ``budget_share`` each; a candidate
-    whose participant cannot afford it is skipped.
+    sets; its task (and bidding interest) is the shared label set. It holds
+    no validation shard, since only real consumers are evaluated.
+    Participants pay ``budget_share`` each; a candidate whose participant
+    cannot afford it is skipped.
     """
     by_id = {c.id: c for c in consumers}
     template = consumers[0].model if consumers else None
@@ -313,9 +312,6 @@ def instantiate(
         model = init_mlp(
             template.dims[0], hidden_dims, template.num_classes, union_labels, rng
         )
-        val = _concat_shards(
-            [_filter_shard(m.validation_shard, cand.shared_labels) for m in members]
-        )
         payments = {m.id: float(budget_share) for m in members}
         before = {m.id: m.budget for m in members}
         for m in members:
@@ -328,7 +324,7 @@ def instantiate(
             id=next_id,
             label_set=cand.shared_labels,
             model=model,
-            validation_shard=val,
+            validation_shard=None,
             budget=float(sum(payments.values())),
             is_synthetic=True,
         )
@@ -337,19 +333,6 @@ def instantiate(
         )
         next_id += 1
     return out
-
-
-def _filter_shard(shard: LabeledDataset, labels: frozenset[int]) -> LabeledDataset:
-    table = np.zeros(shard.num_classes, dtype=bool)
-    table[list(labels)] = True
-    keep = table[shard.labels]
-    return LabeledDataset(shard.features[keep], shard.labels[keep], shard.num_classes)
-
-
-def _concat_shards(shards: list[LabeledDataset]) -> LabeledDataset:
-    feats = np.concatenate([s.features for s in shards])
-    labels = np.concatenate([s.labels for s in shards])
-    return LabeledDataset(feats, labels, shards[0].num_classes)
 
 
 def create_alliances(

@@ -47,6 +47,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=args.seed)
+            # Made before the run, so an unusable path fails first.
+            if args.out:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             trace = run_scenario(cfg)
             paths = emit_metrics(trace, args.out)
@@ -67,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
                   else f"recovered gap ratio: {ratio}")
             if args.out:
                 out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
                 (out / "compare.json").write_text(
                     json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
                 )
@@ -77,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             clique, weight = solve(graph)
             print(f"clique: {' '.join(str(v + 1) for v in sorted(clique))}")
             print(f"weight: {weight}")
-    except (ConfigError, FileNotFoundError, FloatingPointError, ValueError) as exc:
+    except (ConfigError, FloatingPointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

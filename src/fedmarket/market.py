@@ -36,14 +36,15 @@ class DataConsumer:
 
     Synthetic consumers embody alliances: they bid and train like real ones
     but never join alliances and their bids are not recorded in history.
-    ``expert`` is the model a real consumer keeps training on its non-alliance
-    owners once it participates in one.
+    Only real consumers are evaluated, so an alliance's consumer holds no
+    validation shard (``None``). ``expert`` is the model a real consumer keeps
+    training on its non-alliance owners once it participates in one.
     """
 
     id: int
     label_set: frozenset[int]
     model: Mlp
-    validation_shard: LabeledDataset
+    validation_shard: LabeledDataset | None
     budget: float = 0.0
     is_synthetic: bool = False
     expert: Mlp | None = None
@@ -53,7 +54,7 @@ class DataConsumer:
             raise ValueError(f"consumer {self.id}: empty label set")
         if self.budget < 0:
             raise ValueError(f"consumer {self.id}: negative budget")
-        if len(self.validation_shard):
+        if self.validation_shard is not None:
             held = set(np.unique(self.validation_shard.labels).tolist())
             if not held <= set(self.label_set):
                 raise ValueError(

@@ -125,8 +125,9 @@ def write_dimacs(g: WeightedGraph, path: str | Path) -> None:
 def read_dimacs(path: str | Path) -> WeightedGraph:
     """Parse the format written by :func:`write_dimacs`; missing weights default to 1.
 
-    A record without exactly two integer fields, a negative node count, or a
-    node id outside ``1..n`` is rejected with an error naming its line.
+    A record without exactly two integer fields, a negative node count, a
+    node id outside ``1..n``, a self-loop or a node weight below 1 is
+    rejected with an error naming its line.
     """
     n: int | None = None
     records: list[tuple[int, str, int, int]] = []
@@ -156,6 +157,10 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
     for lineno, kind, a, b in records:
         if not 1 <= a <= n or (kind == "e" and not 1 <= b <= n):
             raise ValueError(f"line {lineno}: node id outside 1..{n}")
+        if kind == "e" and a == b:
+            raise ValueError(f"line {lineno}: self-loop on node {a}")
+        if kind == "n" and b < 1:
+            raise ValueError(f"line {lineno}: node weight {b} below 1")
         if kind == "n":
             weights[a - 1] = b
         else:

@@ -70,6 +70,20 @@ class BlobSpec:
     per_class: int = 5000
     spread: float = 1.0
 
+    def __post_init__(self) -> None:
+        # Each class mean is a distinct vertex of the dim-cube.
+        if self.dim < 2:
+            raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        # (num_classes - 1).bit_length() <= dim is num_classes <= 2**dim.
+        if self.num_classes < 2 or (self.num_classes - 1).bit_length() > self.dim:
+            raise ConfigError(
+                f"num_classes must be in 2..2**dim for dim={self.dim}, got {self.num_classes}"
+            )
+        if self.per_class < 1:
+            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
+        if not (math.isfinite(self.spread) and self.spread >= 0):
+            raise ConfigError(f"spread must be finite and >= 0, got {self.spread}")
+
 
 @dataclass
 class IdxPaths:
@@ -116,6 +130,8 @@ class ScenarioConfig:
         for key, n in counts:
             if n < 1:
                 raise ConfigError(f"{key} must be >= 1, got {n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.scenario == "fedcdc" and not 0 <= self.alliance_start < self.rounds:
             raise ConfigError(
                 f"alliance_start={self.alliance_start} must fall inside the {self.rounds} rounds"
@@ -356,11 +372,11 @@ class _Market:
         it bids on.
         """
         cfg = self.cfg
-        bids = default_bids(self.all_consumers(), self.owners)
+        alliance_rows = np.zeros((len(self.alliances), len(self.owners)))
+        bids = np.vstack([default_bids(self.consumers, self.owners), alliance_rows])
         for a in self.alliances:
             contested = sorted(a.candidate.contested)
             bids[np.ix_(sorted(a.candidate.participants), contested)] = 0.0
-            bids[a.consumer.id] = 0.0
             bids[a.consumer.id, contested] = BID
         record_bids(self.history, r, bids[: len(self.consumers)])
         if r % cfg.matching_period and not census_changed:

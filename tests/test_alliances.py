@@ -16,7 +16,6 @@ from fedmarket.alliances import (
     DCResponse,
     candidate_value,
     create_alliances,
-    _filter_shard,
     default_policy,
     enumerate_candidates,
     instantiate,
@@ -513,29 +512,8 @@ def test_instantiate_union_labels_and_validation_filter():
     (a,) = instantiate([cand], consumers, 0.0, [8], np.random.default_rng(2), id_start=2)
     assert a.consumer.model.active_labels == frozenset(range(6))
     assert a.consumer.label_set == frozenset({2, 3})
-    # each participant's validation samples of the shared labels, and no others
-    shard = a.consumer.validation_shard
-    assert set(np.unique(shard.labels)) == {2, 3}
-    expected = sum(int(np.isin(c.validation_shard.labels, [2, 3]).sum()) for c in consumers)
-    assert len(shard.labels) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 12),
-    st.integers(0, 40),
-    st.frozensets(st.integers(0, 11)),
-    st.integers(0, 2**32 - 1),
-)
-def test_filter_shard_matches_isin(num_classes, n, labels, seed):
-    rng = np.random.default_rng(seed)
-    shard = LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, num_classes, n), num_classes)
-    for subset in (frozenset(c for c in labels if c < num_classes), frozenset()):
-        keep = np.isin(shard.labels, sorted(subset))
-        got = _filter_shard(shard, subset)
-        assert np.array_equal(got.features, shard.features[keep])
-        assert np.array_equal(got.labels, shard.labels[keep])
-        assert got.num_classes == num_classes
+    # only real consumers are evaluated, so the alliance holds no validation data
+    assert a.consumer.validation_shard is None
 
 
 def test_instantiate_skips_unaffordable(caplog):

@@ -152,6 +152,9 @@ def test_dimacs_malformed_rejected(tmp_path):
         ("p edge 2 0\nn 9 50\n", r"line 2: node id outside 1\.\.2"),
         ("p edge 2 0\nn 0 50\n", r"line 2: node id outside 1\.\.2"),
         ("p edge 2 1\nc edge below\ne 1 3\n", r"line 3: node id outside 1\.\.2"),
+        ("p edge 2 1\ne 2 2\n", "line 2: self-loop on node 2"),
+        ("p edge 2 0\nn 1 0\n", "line 2: node weight 0 below 1"),
+        ("p edge 2 0\nn 2 1\nn 1 -4\n", "line 3: node weight -4 below 1"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):

@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedmarket import sim
+from fedmarket import cli, sim
 from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
 from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
@@ -134,10 +135,20 @@ def test_config_validation(tmp_path, capsys):
         ({"history_span": 0}, "history_span must be >= 1, got 0"),
         ({"budget_share": -1.0}, "budget_share must be finite and >= 0, got -1.0"),
         ({"dc_budget": -1.0}, "dc_budget must be finite and >= 0, got -1.0"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+        # blob values that would fail only in data generation or in training
+        ({"blobs": {"spread": float("nan")}}, "'blobs': spread must be finite and >= 0, got nan"),
+        ({"blobs": {"spread": float("inf")}}, "'blobs': spread must be finite and >= 0, got inf"),
+        ({"blobs": {"spread": -1}}, "'blobs': spread must be finite and >= 0, got -1"),
+        ({"blobs": {"dim": 1}}, "'blobs': dim must be >= 2, got 1"),
+        ({"blobs": {"num_classes": 1}}, r"'blobs': num_classes must be in 2\.\.2\*\*dim"),
+        ({"blobs": {"dim": 2, "num_classes": 5}}, "for dim=2, got 5"),
+        ({"blobs": {"per_class": 0}}, "'blobs': per_class must be >= 1, got 0"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
     ScenarioConfig(min_shared_owners=1, hidden_dims=[1], samples_per_test=1)
+    config_from_dict({"blobs": {"dim": 2, "num_classes": 4, "per_class": 1, "spread": 0}})
     ScenarioConfig(hidden_dims=[])
     path = tmp_path / "zero_width.json"
     path.write_text(json.dumps({"hidden_dims": [0]}))
@@ -160,6 +171,10 @@ def test_config_validation(tmp_path, capsys):
     path.write_text(json.dumps({"fl": {"batch_size": "32"}}))
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "error: fl.batch_size must be int, got '32'" in capsys.readouterr().err
+    cfg_path = _write_tiny_config(tmp_path)
+    argv = ["run", "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
     # An alliance pass enumerates every consumer subset, so fedcdc is guarded
     # at the consumer count the pass was measured for.
     ScenarioConfig(partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS, n_do=12 * 11))
@@ -605,6 +620,44 @@ def test_cli_reports_non_finite_model(tmp_path, capsys, monkeypatch):
     assert "error: round 2: consumer 0's model has non-finite parameters after distillation" in (
         capsys.readouterr().err
     )
+
+
+def test_cli_unreadable_config_path_exits_2(tmp_path, capsys):
+    rc = cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_unusable_out_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("the scenario ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "compare_scenarios", no_run)
+    cfg_path = _write_tiny_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in ("run", "compare"):
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+
+
+def test_readme_config_block_is_the_default_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    default = ScenarioConfig()
+    assert config_from_dict(block) == default
+    # every field of every section is named, except the optional idx section
+    fields = {f.name for f in dataclasses.fields(default)} - {"idx"}
+    assert set(block) == fields
+    for name in fields:
+        value = getattr(default, name)
+        if dataclasses.is_dataclass(value):
+            assert set(block[name]) == {f.name for f in dataclasses.fields(value)}, name
 
 
 def test_cli_bad_config_reports_error(tmp_path, capsys):
