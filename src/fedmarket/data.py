@@ -18,6 +18,8 @@ from .errors import ConfigError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# Class means are hypercube vertices drawn as int64 codes below 2**dim.
+MAX_BLOB_DIM = 63
 
 
 class IdxParseError(ValueError):
@@ -113,20 +115,34 @@ def gen_blobs(
     per_class: int,
     spread: float,
     seed: int | list[int],
+    held_out: int = 0,
 ) -> LabeledDataset:
-    """Isotropic Gaussian clusters centered on distinct hypercube vertices."""
+    """Isotropic Gaussian clusters centered on distinct hypercube vertices.
+
+    Each class draws its ``per_class + held_out`` samples at once. The first
+    ``per_class`` rows of every class come first, in class order; the last
+    ``held_out`` rows of every class follow, in class order. Both blocks are
+    filled into one array, so a caller can take them as views, e.g. a train
+    pool and a held-out test pool on the same class means.
+    """
     if num_classes < 2 or dim < 2:
         raise ValueError("need num_classes >= 2 and dim >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be positive")
+    if dim > MAX_BLOB_DIM:
+        raise ValueError(f"dim must be <= {MAX_BLOB_DIM} (vertex codes are int64), got {dim}")
+    if per_class < 1 or held_out < 0:
+        raise ValueError("per_class must be positive and held_out non-negative")
     if num_classes > 2**dim:
         raise ValueError(f"cannot place {num_classes} distinct means on a {dim}-cube")
     rng = np.random.default_rng(seed)
     means = _distinct_vertices(num_classes, dim, rng)
-    feats = np.concatenate(
-        [m + rng.normal(0.0, spread, size=(per_class, dim)) for m in means]
-    )
-    labels = np.repeat(np.arange(num_classes), per_class)
+    kept = num_classes * per_class
+    feats = np.empty((kept + num_classes * held_out, dim))
+    for c, m in enumerate(means):
+        draw = m + rng.normal(0.0, spread, size=(per_class + held_out, dim))
+        feats[c * per_class : (c + 1) * per_class] = draw[:per_class]
+        feats[kept + c * held_out : kept + (c + 1) * held_out] = draw[per_class:]
+    classes = np.arange(num_classes)
+    labels = np.concatenate([classes.repeat(per_class), classes.repeat(held_out)])
     return LabeledDataset(feats, labels, num_classes)
 
 
@@ -176,42 +192,38 @@ def build_market_partition(
     do_groups: list[int] = []
     for group, labels in enumerate(group_labels):
         for _ in range(sizes.owners_per_group):
-            do_shards.append(_draw_balanced(base, pools, labels, sizes.samples_per_do))
+            do_shards.append(_gather(base, _draw_balanced(pools, labels, sizes.samples_per_do)))
             do_groups.append(group)
 
     dc_val_shards = [
-        _draw_balanced(base, pools, dc_label_sets[i], sizes.samples_per_val)
+        _gather(base, _draw_balanced(pools, dc_label_sets[i], sizes.samples_per_val))
         for i in range(sizes.n_dc)
     ]
 
-    public_labeled = _draw_balanced(
-        base, pools, frozenset(range(base.num_classes)), sizes.public_size
-    )
-    order = rng.permutation(len(public_labeled))
-    public = UnlabeledDataset(public_labeled.features[order])
+    idx = _draw_balanced(pools, frozenset(range(base.num_classes)), sizes.public_size)
+    order = rng.permutation(len(idx))
+    public = UnlabeledDataset(base.features[idx[order]])
 
     return MarketPartition(do_shards, do_groups, dc_label_sets, dc_val_shards, public, shared)
 
 
-def _class_pools(base: LabeledDataset, rng: np.random.Generator) -> dict[int, list[int]]:
-    pools: dict[int, list[int]] = {}
+def _class_pools(base: LabeledDataset, rng: np.random.Generator) -> dict[int, np.ndarray]:
+    pools: dict[int, np.ndarray] = {}
     for c in range(base.num_classes):
         idx = np.flatnonzero(base.labels == c)
         rng.shuffle(idx)
-        pools[c] = idx.tolist()
+        pools[c] = idx
     return pools
 
 
-def _draw_balanced(
-    base: LabeledDataset,
-    pools: dict[int, list[int]],
-    labels: frozenset[int],
-    total: int,
-) -> LabeledDataset:
-    """Take ``total`` samples evenly over ``labels`` (within +-1), consuming pools."""
+def _draw_balanced(pools: dict[int, np.ndarray], labels: frozenset[int], total: int) -> np.ndarray:
+    """Row indices of ``total`` samples, even over ``labels`` (within +-1), consuming pools.
+
+    A class's pool is a view of its shuffled indices past the ones taken.
+    """
     classes = sorted(labels)
     per, extra = divmod(total, len(classes))
-    take: list[int] = []
+    take: list[np.ndarray] = []
     for j, c in enumerate(classes):
         count = per + (1 if j < extra else 0)
         pool = pools[c]
@@ -219,9 +231,12 @@ def _draw_balanced(
             raise ConfigError(
                 f"class {c}: need {count} more samples, only {len(pool)} left in base"
             )
-        take.extend(pool[:count])
-        del pool[:count]
-    idx = np.array(take, dtype=np.intp)
+        take.append(pool[:count])
+        pools[c] = pool[count:]
+    return np.concatenate(take)
+
+
+def _gather(base: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
     return LabeledDataset(base.features[idx], base.labels[idx], base.num_classes)
 
 
@@ -230,32 +245,7 @@ def take_class_balanced(
 ) -> LabeledDataset:
     """Non-consuming balanced slice over ``labels``; e.g. held-out test shards."""
     rng = np.random.default_rng(seed)
-    pools = _class_pools(base, rng)
-    return _draw_balanced(base, pools, frozenset(labels), total)
-
-
-def split_per_class(ds: LabeledDataset, first_count: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Split each class's samples into the first ``first_count`` and the rest.
-
-    Keeps the two halves on the same class distribution, e.g. a train pool
-    and a held-out test pool drawn from one generated dataset.
-    """
-    first: list[int] = []
-    rest: list[int] = []
-    for c in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == c)
-        if len(idx) < first_count:
-            raise ConfigError(
-                f"class {c}: cannot split off {first_count} samples, only {len(idx)} present"
-            )
-        first.extend(idx[:first_count])
-        rest.extend(idx[first_count:])
-    fi = np.array(first, dtype=np.intp)
-    ri = np.array(rest, dtype=np.intp)
-    return (
-        LabeledDataset(ds.features[fi], ds.labels[fi], ds.num_classes),
-        LabeledDataset(ds.features[ri], ds.labels[ri], ds.num_classes),
-    )
+    return _gather(base, _draw_balanced(_class_pools(base, rng), frozenset(labels), total))
 
 
 def load_idx(

@@ -22,13 +22,13 @@ import numpy as np
 
 from .alliances import MAX_ENUMERABLE_CONSUMERS, Alliance, candidate_value, create_alliances
 from .data import (
+    MAX_BLOB_DIM,
     LabeledDataset,
     PartitionSizes,
     UnlabeledDataset,
     build_market_partition,
     gen_blobs,
     load_idx,
-    split_per_class,
     take_class_balanced,
 )
 from .distill import DistillConfig, distill_train
@@ -74,6 +74,8 @@ class BlobSpec:
         # Each class mean is a distinct vertex of the dim-cube.
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        if self.dim > MAX_BLOB_DIM:
+            raise ConfigError(f"dim must be <= {MAX_BLOB_DIM}, got {self.dim}")
         # (num_classes - 1).bit_length() <= dim is num_classes <= 2**dim.
         if self.num_classes < 2 or (self.num_classes - 1).bit_length() > self.dim:
             raise ConfigError(
@@ -447,17 +449,22 @@ def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
         test = load_idx(cfg.idx.test_images, cfg.idx.test_labels, base.num_classes)
         return base, test
     b = cfg.blobs
-    # Generate train and held-out test samples in one pass so both halves
-    # share the same class means.
+    # Train and held-out test samples come from one draw per class, so both
+    # pools share the class means; they are views of one generated array.
     test_per_class = -(-cfg.samples_per_test // cfg.partition.n_c)
-    full = gen_blobs(
+    pool = gen_blobs(
         b.num_classes,
         b.dim,
-        b.per_class + test_per_class,
+        b.per_class,
         b.spread,
         [cfg.seed, _S_BASE_DATA],
+        held_out=test_per_class,
     )
-    return split_per_class(full, b.per_class)
+    kept = b.num_classes * b.per_class
+    return (
+        LabeledDataset(pool.features[:kept], pool.labels[:kept], b.num_classes),
+        LabeledDataset(pool.features[kept:], pool.labels[kept:], b.num_classes),
+    )
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:

@@ -7,7 +7,9 @@ consumer subset, the oracle for ``alliances.enumerate_candidates``.
 the oracle for ``alliances.offer_and_collect``; ``conflicts_from_pairs``
 builds the ``alliances.Conflicts`` that tests hand to ``select_alliances``.
 ``distill_loss`` and ``kl_div`` evaluate the distillation objective whose
-gradient ``distill.distill_loss_grad`` computes.
+gradient ``distill.distill_loss_grad`` computes. ``split_per_class`` splits a
+generated dataset into each class's first rows and the rest, the reference
+for ``data.gen_blobs``' held-out block.
 """
 import logging
 from itertools import combinations
@@ -21,6 +23,8 @@ from fedmarket.alliances import (
     Conflicts,
     default_policy,
 )
+from fedmarket.data import LabeledDataset
+from fedmarket.errors import ConfigError
 from fedmarket.market import max_bid_matrix
 from fedmarket.maxclique import WeightedGraph
 from fedmarket.nn import PROB_FLOOR, softmax
@@ -205,3 +209,27 @@ def distill_loss(student_active_logits: np.ndarray, p_t: np.ndarray, alpha: floa
     pseudo = np.argmax(p_t, axis=-1)[..., None]
     hard = -np.log(np.maximum(np.take_along_axis(p_s, pseudo, axis=-1)[..., 0], PROB_FLOOR))
     return alpha * kl_div(p_s, p_t) + (1.0 - alpha) * hard
+
+
+def split_per_class(ds: LabeledDataset, first_count: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """Split each class's samples into the first ``first_count`` and the rest.
+
+    Keeps the two halves on the same class distribution, e.g. a train pool
+    and a held-out test pool drawn from one generated dataset.
+    """
+    first: list[int] = []
+    rest: list[int] = []
+    for c in range(ds.num_classes):
+        idx = np.flatnonzero(ds.labels == c)
+        if len(idx) < first_count:
+            raise ConfigError(
+                f"class {c}: cannot split off {first_count} samples, only {len(idx)} present"
+            )
+        first.extend(idx[:first_count])
+        rest.extend(idx[first_count:])
+    fi = np.array(first, dtype=np.intp)
+    ri = np.array(rest, dtype=np.intp)
+    return (
+        LabeledDataset(ds.features[fi], ds.labels[fi], ds.num_classes),
+        LabeledDataset(ds.features[ri], ds.labels[ri], ds.num_classes),
+    )

@@ -8,13 +8,14 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from fedmarket.alliances import candidate_value, enumerate_candidates, offer_and_collect, select_alliances
 from fedmarket.cli import main as cli_main
-from fedmarket.data import UnlabeledDataset, gen_blobs, split_per_class
+from fedmarket.data import UnlabeledDataset, gen_blobs
 from fedmarket.distill import DistillConfig, distill_train, entropy_weights
 from fedmarket.fed import evaluate, fedavg_aggregate
 from fedmarket.maxclique import WeightedGraph, solve
@@ -22,29 +23,38 @@ from fedmarket.nn import init_adam, init_mlp, softmax, train_step
 from fedmarket.sim import SCENARIOS, ScenarioConfig, run_scenario
 
 from conftest import cross_entropy, max_grad_rel_error, paper_market
-from oracles import brute_force, distill_loss, kl_div
+from oracles import brute_force, distill_loss, kl_div, split_per_class
 
 SEEDS = (1, 2, 3)
 POINTS = 0.05  # one accuracy "point" is 0.01
 
 
-def _final_acc(job):
+class Final(NamedTuple):
+    """One run's final test accuracy: the mean, each consumer's, and who joined an alliance."""
+
+    mean: float
+    by_dc: dict[int, float]
+    participants: frozenset[int]
+
+
+def _final(job):
     scenario, seed = job
-    cfg = ScenarioConfig(scenario=scenario, seed=seed)
-    return job, run_scenario(cfg).final_mean_test()
+    trace = run_scenario(ScenarioConfig(scenario=scenario, seed=seed))
+    participants = frozenset(i for a in trace.alliances for i in a.participants)
+    return job, Final(trace.final_mean_test(), trace.final_test_by_dc, participants)
 
 
 @pytest.fixture(scope="module")
 def scenario_finals():
-    """Final mean test accuracy for every (scenario, seed) pair, run in parallel."""
+    """The final test accuracies of every (scenario, seed) pair, run in parallel."""
     jobs = [(scenario, seed) for seed in SEEDS for scenario in SCENARIOS]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        return dict(pool.map(_final_acc, jobs))
+        return dict(pool.map(_final, jobs))
 
 
 def test_criterion_1_fedcdc_recovers_restriction_gap(scenario_finals):
     mean = {
-        scenario: float(np.mean([scenario_finals[(scenario, s)] for s in SEEDS]))
+        scenario: float(np.mean([scenario_finals[(scenario, s)].mean for s in SEEDS]))
         for scenario in SCENARIOS
     }
     gap = mean["unrestricted"] - mean["restricted"]
@@ -60,18 +70,38 @@ def test_criterion_1_fedcdc_recovers_restriction_gap(scenario_finals):
 
 def test_criterion_2_restriction_hurts(scenario_finals):
     holds = [
-        scenario_finals[("unrestricted", s)] >= scenario_finals[("restricted", s)] + POINTS
+        scenario_finals[("unrestricted", s)].mean >= scenario_finals[("restricted", s)].mean + POINTS
         for s in SEEDS
     ]
     assert sum(holds) >= 2
     per_seed = {
         s: (
-            round(scenario_finals[("unrestricted", s)], 3),
-            round(scenario_finals[("restricted", s)], 3),
+            round(scenario_finals[("unrestricted", s)].mean, 3),
+            round(scenario_finals[("restricted", s)].mean, 3),
         )
         for s in SEEDS
     }
     print(f"PASS criterion 2: unrestricted >= restricted + 0.05 on {sum(holds)}/3 seeds {per_seed}")
+
+
+def test_every_participant_gains_and_every_consumer_loses(scenario_finals):
+    # The paper claims gains for all participating consumers, which the means
+    # of criteria 1-2 cannot show: one consumer could lose unnoticed.
+    gains, losses = [], []
+    for s in SEEDS:
+        fedcdc, restricted, unrestricted = (
+            scenario_finals[(scenario, s)] for scenario in ("fedcdc", "restricted", "unrestricted")
+        )
+        assert fedcdc.participants, f"seed {s}: no alliance formed"
+        gains += [(fedcdc.by_dc[i] - restricted.by_dc[i], s, i) for i in fedcdc.participants]
+        losses += [(unrestricted.by_dc[i] - restricted.by_dc[i], s, i) for i in restricted.by_dc]
+    least_gain, least_loss = min(gains), min(losses)
+    assert least_gain[0] >= POINTS, f"seed {least_gain[1]}, consumer {least_gain[2]}: {least_gain[0]:.4f}"
+    assert least_loss[0] >= POINTS, f"seed {least_loss[1]}, consumer {least_loss[2]}: {least_loss[0]:.4f}"
+    print(
+        f"PASS per consumer: every participant gains >= {least_gain[0]:.3f} under fedcdc, "
+        f"every consumer loses >= {least_loss[0]:.3f} under restriction"
+    )
 
 
 def test_criterion_3_maxclique_oracle_equivalence():

@@ -1,7 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedmarket.data import (
     IdxParseError,
@@ -10,10 +13,11 @@ from fedmarket.data import (
     build_market_partition,
     gen_blobs,
     load_idx,
-    split_per_class,
     take_class_balanced,
 )
 from fedmarket.errors import ConfigError
+
+from oracles import split_per_class
 
 
 def paper_sizes(samples_per_do=40, samples_per_val=40, public_size=50):
@@ -58,6 +62,58 @@ def test_blobs_means_distinct():
 def test_blobs_too_many_classes_rejected():
     with pytest.raises(ValueError):
         gen_blobs(5, 2, 3, 1.0, 0)
+
+
+def test_blobs_dim_above_63_rejected():
+    # Vertex codes are int64 draws below 2**dim; 2**64 is out of range.
+    with pytest.raises(ValueError, match="dim must be <= 63"):
+        gen_blobs(10, 64, 3, 1.0, 0)
+    for dim in (62, 63):
+        ds = gen_blobs(10, dim, 1, 0.0, 0)
+        assert len({row.tobytes() for row in ds.features}) == 10
+
+
+# SHA-256 of gen_blobs' features then labels, pinned before the held-out block
+# existed; held_out=0 must keep these bytes.
+BLOBS_GOLDEN = {
+    (10, 16, 5500, 1.0, (7, 1)): "4f774cd61717819d02f33af035288fa4a59b41bf779d5ae563e3f0aa929bb0df",
+    (2, 4, 10, 0.5, 0): "311bb3786fc5ed5c452308edab0ba473604f7256f56634d1ab9402e170023c6a",
+    (6, 13, 7, 2.0, (3, 1)): "d8410eacd2f76557fb1bd91aa7539c0bc17e9dfb115612222266b04dfe1cd582",
+    (4, 63, 3, 1.0, 11): "c7f9e4080b74c8c22083acb5d971de5207bc240e019f0eb204068de05bf9ea11",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BLOBS_GOLDEN, key=str))
+def test_blobs_bytes_pinned(args):
+    num_classes, dim, per_class, spread, seed = args
+    seed = list(seed) if isinstance(seed, tuple) else seed
+    ds = gen_blobs(num_classes, dim, per_class, spread, seed)
+    digest = hashlib.sha256(ds.features.tobytes())
+    digest.update(ds.labels.tobytes())
+    assert digest.hexdigest() == BLOBS_GOLDEN[args]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_classes=st.integers(2, 6),
+    dim=st.integers(3, 14),
+    per_class=st.integers(1, 6),
+    held_out=st.integers(0, 5),
+    spread=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_classes=2, dim=3, per_class=1, held_out=0, spread=1.0, seed=0)
+@example(num_classes=6, dim=3, per_class=1, held_out=4, spread=1.0, seed=1)
+def test_blobs_held_out_block_matches_split_oracle(num_classes, dim, per_class, held_out, spread, seed):
+    got = gen_blobs(num_classes, dim, per_class, spread, seed, held_out=held_out)
+    kept, rest = split_per_class(
+        gen_blobs(num_classes, dim, per_class + held_out, spread, seed), per_class
+    )
+    assert got.num_classes == num_classes
+    for part in ("features", "labels"):
+        want = np.concatenate([getattr(kept, part), getattr(rest, part)])
+        assert getattr(got, part).dtype == want.dtype
+        assert getattr(got, part).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- partition sizes

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedmarket import distill
-from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs, split_per_class
+from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs
 from fedmarket.distill import (
     DistillConfig,
     combine_teachers,
@@ -32,7 +32,7 @@ from fedmarket.nn import (
 )
 
 from conftest import max_grad_rel_error
-from oracles import distill_loss
+from oracles import distill_loss, split_per_class
 
 
 def weights_of(*rows):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs, split_per_class
+from fedmarket import fed
+from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs
 from fedmarket.distill import contributor_masks, teacher_targets, uniform_weights
 from fedmarket.fed import (
     FLRoundConfig,
@@ -19,7 +20,7 @@ from fedmarket.fed import (
 )
 from fedmarket.market import DataConsumer, DataOwner
 from fedmarket.nn import Mlp, clone_model, forward, init_adam, init_mlp, train_step
-from oracles import distill_loss
+from oracles import distill_loss, split_per_class
 
 
 def model_with(seed, dims=(4, 6, 3), active=None):
@@ -193,8 +194,10 @@ def test_round_is_bit_reproducible():
 
 
 def test_iid_split_matches_pooled_training():
-    full = gen_blobs(3, 6, 400, 1.0, 6)
-    train, val = split_per_class(full, 320)
+    # 320 training and 80 validation samples per class, as views of one pool
+    full = gen_blobs(3, 6, 320, 1.0, 6, held_out=80)
+    train = LabeledDataset(full.features[:960], full.labels[:960], 3)
+    val = LabeledDataset(full.features[960:], full.labels[960:], 3)
     perm = np.random.default_rng(100).permutation(len(train))
     train = LabeledDataset(train.features[perm], train.labels[perm], train.num_classes)
     owners6 = _split_owners(train, 6)
@@ -322,6 +325,23 @@ def test_evaluate_invariant_to_positive_rescaling():
     scaled.weights[-1] *= 3.0
     scaled.biases[-1] *= 3.0
     assert evaluate(scaled, ds) == base
+
+
+def test_evaluate_forwards_at_most_a_batch_of_rows(monkeypatch):
+    ds = gen_blobs(4, 6, 500, 1.0, 30)  # a 2000-row shard
+    model = model_with(31, dims=(6, 8, 4), active={0, 2, 3})
+    cols = model.active_index
+    one_call = cols[np.argmax(forward(model, ds.features)[:, cols], axis=1)]
+    rows = []
+
+    def counted(m, x):
+        rows.append(len(x))
+        return forward(m, x)
+
+    monkeypatch.setattr(fed, "forward", counted)
+    assert evaluate(model, ds) == float((one_call == ds.labels).mean())
+    assert sum(rows) == len(ds)
+    assert max(rows) <= fed.EVAL_CHUNK_ROWS == 32
 
 
 def test_evaluate_validates_inputs():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +29,24 @@ from fedmarket.sim import (
     run_scenario,
 )
 from conftest import tiny_cfg
+
+
+# ---------------------------------------------------------------- data
+
+def test_load_data_holds_one_copy_of_the_pool():
+    # The train and test pools are views of one generated array, and nothing
+    # else of the pool's size is alive at once: at most 1.5x its bytes.
+    cfg = ScenarioConfig()
+    tracemalloc.start()
+    try:
+        base, test = sim._load_data(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pool = base.features.nbytes + test.features.nbytes + base.labels.nbytes + test.labels.nbytes
+    assert peak <= 1.5 * pool, f"peak {peak / pool:.2f}x the pool's bytes"
+    assert base.features.base is not None and base.features.base is test.features.base
+    assert (len(base), len(test)) == (10 * 5000, 10 * 500)
 
 
 # ---------------------------------------------------------------- config
@@ -144,11 +163,14 @@ def test_config_validation(tmp_path, capsys):
         ({"blobs": {"num_classes": 1}}, r"'blobs': num_classes must be in 2\.\.2\*\*dim"),
         ({"blobs": {"dim": 2, "num_classes": 5}}, "for dim=2, got 5"),
         ({"blobs": {"per_class": 0}}, "'blobs': per_class must be >= 1, got 0"),
+        # vertex codes are int64 draws below 2**dim
+        ({"blobs": {"dim": 64}}, "'blobs': dim must be <= 63, got 64"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
     ScenarioConfig(min_shared_owners=1, hidden_dims=[1], samples_per_test=1)
     config_from_dict({"blobs": {"dim": 2, "num_classes": 4, "per_class": 1, "spread": 0}})
+    config_from_dict({"blobs": {"dim": 63}})
     ScenarioConfig(hidden_dims=[])
     path = tmp_path / "zero_width.json"
     path.write_text(json.dumps({"hidden_dims": [0]}))
