@@ -32,7 +32,7 @@ from .market import (
     max_bid_matrix,
     record_bids,
 )
-from .maxclique import WeightedGraph, read_dimacs, solve, write_dimacs
+from .maxclique import WeightedGraph, read_dimacs, solve
 from .nn import Mlp, adam_step, entropy, forward, init_mlp, softmax, train_step
 from .sim import MetricsTrace, ScenarioConfig, compare_scenarios, emit_metrics, load_config, run_scenario
 

@@ -22,9 +22,10 @@ log = logging.getLogger(__name__)
 
 # The largest consumer count whose every measured full pass over the paper's
 # group-structured market (every subset a candidate) took at most 10 s on a
-# 2-core x86 VM: 1.0-1.7 s at 11 consumers; 8.6-10.8 s at 12, of which
-# maxclique.solve took 7.0-9.0 s, so solve is what holds it (BENCH_13.json).
-MAX_ENUMERABLE_CONSUMERS = 11
+# 2-core x86 VM: 0.9-1.0 s at 11 consumers; 4.9-6.2 s at 12, of which
+# maxclique.solve took 3.5-4.8 s, with a peak RSS of 166 MB (BENCH_17.json).
+# 13 consumers (8,178 candidates) were not measured.
+MAX_ENUMERABLE_CONSUMERS = 12
 
 
 @dataclass(frozen=True)

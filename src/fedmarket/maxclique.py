@@ -1,9 +1,10 @@
-"""Exact maximum-weight-clique solver and its DIMACS-like file format.
+"""Exact maximum-weight-clique solver and a reader for its DIMACS-like file format.
 
 The solver is branch-and-bound with a greedy weighted-coloring upper bound,
-coloured once per node; weights are positive integers so all comparisons are
-exact. Ties between maximum cliques resolve to the lexicographically smallest
-sorted node set.
+coloured once per node. Ties between maximum cliques resolve to the
+lexicographically smallest sorted node set. That rule is part of each node's
+integer key, so the search maximises one exact integer and prunes every
+branch whose bound does not beat the best clique found so far.
 """
 from __future__ import annotations
 
@@ -41,63 +42,68 @@ class WeightedGraph:
 def solve(g: WeightedGraph) -> tuple[set[int], int]:
     """Maximum-weight clique and its total weight, found exactly.
 
-    Branch-and-bound over vertices ordered by descending weight. Each
+    Node v gets the key ``w_v * 2**n + 2**(n - 1 - v)`` and the search
+    maximises a clique's key sum, whose high part (``>> n``) is the clique's
+    weight and whose low ``n`` bits are its node set, node 0 highest. So no
+    two cliques share a key, and since weights are at least 1, equal-weight
+    maximum cliques are never nested: the largest key is the heaviest clique
+    whose sorted node set is lexicographically smallest.
+
+    Branch-and-bound over vertices ordered by descending key. Each
     candidate set is coloured greedily once, into independent classes; any
-    clique takes at most the heaviest vertex of each class, so the class
-    heads' weights bound it. Branching then goes heaviest-first, and each
-    branched vertex is the heaviest left in its class, so removing it swaps
-    its weight in the bound for that of the next member of its class.
-    Pruning is strict so equal-weight cliques survive for the lexicographic
-    tie rule.
+    clique takes at most the first vertex of each class, so the class
+    heads' keys bound it. Branching then goes in key order, and each
+    branched vertex is the first left in its class, so removing it swaps
+    its key in the bound for that of the next member of its class. A branch
+    is searched only if its bound beats the incumbent.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return set(), 0
-    order = sorted(range(g.n), key=lambda v: (-g.weights[v], v))
-    w = [g.weights[v] for v in order]
+    order = sorted(range(n), key=lambda v: (-g.weights[v], v))
+    key = [(g.weights[v] << n) + (1 << (n - 1 - v)) for v in order]
     # neighbor masks in the reordered index space, bit i for vertex order[i]
     rows = np.packbits(g.adj[np.ix_(order, order)], axis=1, bitorder="little")
     nbr = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    non_nbr = [~(m | 1 << v) for v, m in enumerate(nbr)]
 
-    best_w = 0
-    best_key: tuple[int, ...] = ()
+    best_key, best = 0, []
 
-    def expand(clique: list[int], clique_w: int, candidates: int) -> None:
-        nonlocal best_w, best_key
-        if clique_w >= best_w:
-            key = tuple(sorted(order[v] for v in clique))
-            if clique_w > best_w or key < best_key:
-                best_w, best_key = clique_w, key
+    def expand(clique: list[int], clique_key: int, candidates: int) -> None:
+        nonlocal best_key, best
+        if clique_key > best_key:
+            best_key, best = clique_key, clique
         if not candidates:
             return
-        # Greedy colouring, one class at a time in index (= weight) order.
+        # Greedy colouring, one class at a time in index (= key) order.
         bound = 0
-        next_w: dict[int, int] = {}
+        next_key: dict[int, int] = {}
         uncoloured = candidates
         while uncoloured:
             low = uncoloured & -uncoloured
             prev = low.bit_length() - 1
-            bound += w[prev]  # first member of a class is its heaviest
+            bound += key[prev]  # first member of a class is its largest
             uncoloured ^= low
-            free = uncoloured & ~nbr[prev]
+            free = uncoloured & non_nbr[prev]
             while free:
                 low = free & -free
                 v = low.bit_length() - 1
-                free &= ~(nbr[v] | low)
+                free &= non_nbr[v]
                 uncoloured ^= low
-                next_w[prev] = w[v]
+                next_key[prev] = key[v]
                 prev = v
         m = candidates
         while m:
-            if clique_w + bound < best_w:
+            if clique_key + bound <= best_key:
                 return
             low = m & -m
             v = low.bit_length() - 1
-            expand(clique + [v], clique_w + w[v], m & nbr[v])
-            bound += next_w.get(v, 0) - w[v]
+            expand(clique + [v], clique_key + key[v], m & nbr[v])
+            bound += next_key.get(v, 0) - key[v]
             m ^= low
 
-    expand([], 0, (1 << g.n) - 1)
-    return set(best_key), best_w
+    expand([], 0, (1 << n) - 1)
+    return {order[v] for v in best}, best_key >> n
 
 
 def is_clique(g: WeightedGraph, nodes: set[int]) -> bool:
@@ -110,20 +116,10 @@ def is_clique(g: WeightedGraph, nodes: set[int]) -> bool:
     return True
 
 
-def write_dimacs(g: WeightedGraph, path: str | Path) -> None:
-    """DIMACS-like text: ``p edge n m``, ``n <id> <weight>``, ``e <u> <v>`` (1-based ids)."""
-    lines = []
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
-    lines.append(f"p edge {g.n} {len(edges)}")
-    for v, w in enumerate(g.weights):
-        lines.append(f"n {v + 1} {w}")
-    for u, v in edges:
-        lines.append(f"e {u + 1} {v + 1}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_dimacs(path: str | Path) -> WeightedGraph:
-    """Parse the format written by :func:`write_dimacs`; missing weights default to 1.
+    """Parse DIMACS-like text: ``p edge n m``, ``n <id> <weight>``, ``e <u> <v>``.
+
+    Ids are 1-based and missing weights default to 1.
 
     A record without exactly two integer fields, a negative node count, a
     node id outside ``1..n``, a self-loop or a node weight below 1 is

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the library against.
 
 ``brute_force`` scans every node subset for the maximum-weight clique, the
-oracle for ``maxclique.solve``. ``full_scan_candidates`` scores every
+oracle for ``maxclique.solve``; ``write_dimacs`` writes the text that
+``maxclique.read_dimacs`` parses. ``full_scan_candidates`` scores every
 consumer subset, the oracle for ``alliances.enumerate_candidates``.
 ``offer_and_collect_pairs`` returns the conflicts as a set of uid tuples,
 the oracle for ``alliances.offer_and_collect``; ``conflicts_from_pairs``
@@ -13,6 +14,7 @@ for ``data.gen_blobs``' held-out block.
 """
 import logging
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -74,6 +76,18 @@ def brute_force(g: WeightedGraph) -> tuple[set[int], int]:
     return set(best_key), best_w
 
 
+def write_dimacs(g: WeightedGraph, path: str | Path) -> None:
+    """DIMACS-like text: ``p edge n m``, ``n <id> <weight>``, ``e <u> <v>`` (1-based ids)."""
+    lines = []
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
+    lines.append(f"p edge {g.n} {len(edges)}")
+    for v, w in enumerate(g.weights):
+        lines.append(f"n {v + 1} {w}")
+    for u, v in edges:
+        lines.append(f"e {u + 1} {v + 1}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _bits(s: int) -> tuple[int, ...]:
     out = []
     while s:
@@ -96,7 +110,7 @@ def full_scan_candidates(
     Scores every subset, in size-then-lexicographic order. An owner is
     contested when the product of the members' max bids on it is nonzero,
     which equals "every member bid positively" only while that product does
-    not underflow: for bids of at least 1e-25 and up to 11 members.
+    not underflow: for bids of at least 1e-25 and up to 12 members.
     """
     if len(consumers) > MAX_ENUMERABLE_CONSUMERS:
         raise ValueError(

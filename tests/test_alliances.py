@@ -471,6 +471,20 @@ def test_group_market_selection_golden():
     assert sum(candidate_value(c) for c in selected) == 36
 
 
+def test_group_market_selection_golden_ten_consumers():
+    # 1,013 candidates, so the solver's integer keys are about 1,000 bits long.
+    consumers, owners, history = group_market(10, [7, 10])
+    cands = enumerate_candidates(consumers, owners, history, 2, 2)
+    assert len(cands) == 1013
+    accepted, conflicts = offer_and_collect(cands, consumers)
+    assert len(accepted) == 1013
+    assert len(conflicts) == 489_142
+    selected = select_alliances(accepted, conflicts)
+    assert [c.uid for c in selected] == [0, 17, 30, 39, 44]
+    assert [sorted(c.participants) for c in selected] == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+    assert sum(candidate_value(c) for c in selected) == 60
+
+
 def test_select_empty_input():
     assert select_alliances([], conflicts_from_pairs([], set())) == []
 

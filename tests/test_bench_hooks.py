@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from fedmarket import distill, fed, nn, sim
+from fedmarket import alliances, distill, fed, nn, sim
 from conftest import tiny_cfg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,19 +46,25 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     # the round probe also needs exactly one default_bids call per round.
     # The distill hooks are the teacher forwards and the student's Adam, which
     # the tiny fedcdc run reaches through distill_train; the fed and nn hooks
-    # are local training's steps and Adam, and FedAvg.
+    # are local training's steps and Adam, and FedAvg; the alliances hooks are
+    # the stages of the alliance pass that sim.create_alliances runs.
     workloads = _load_workloads()
     hooks = {
         (module, attr)
         for module, attr, _ in workloads.TRACE_POINTS
-        if module in (sim, distill, fed, nn)
+        if module in (sim, distill, fed, nn, alliances)
     }
     hooks |= {(module, attr) for module, attr, _ in workloads._SimProbe().targets() if module is sim}
     # run_fl_round trains through lockstep_train, so the benchmark's
     # fed.local_train hook reads 0 (an open FOUND in CHANGES.md).
     hooks.discard((fed, "local_train"))
+    # sim calls its own imported create_alliances; only the alliance-pass
+    # workload looks it up in alliances.
+    hooks.discard((alliances, "create_alliances"))
     assert {(distill, "forward"), (distill, "adam_step")} <= hooks
     assert {(fed, "train_step"), (nn, "adam_step"), (fed, "fedavg_aggregate")} <= hooks
+    stages = ("enumerate_candidates", "offer_and_collect", "select_alliances", "instantiate", "solve")
+    assert {(alliances, attr) for attr in stages} <= hooks
     calls = Counter()
 
     def counted(name, fn):

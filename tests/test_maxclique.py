@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fedmarket.maxclique import WeightedGraph, is_clique, read_dimacs, solve, write_dimacs
-from oracles import brute_force
+from fedmarket.maxclique import WeightedGraph, is_clique, read_dimacs, solve
+from oracles import brute_force, write_dimacs
 
 
 def graph(weights, edges):
@@ -97,13 +97,16 @@ def test_oracle_equivalence_random_graphs():
 
 def test_oracle_equivalence_tie_heavy_graphs():
     # Weights in 1..3 make many maximum cliques of equal weight, so the
-    # lexicographic tie rule decides most of these instances.
+    # lexicographic tie rule decides most of these instances. With all
+    # weights equal, every maximum clique ties.
     rng = np.random.default_rng(321)
     for trial in range(150):
         n = int(rng.integers(1, 14))
         density = [0.2, 0.5, 0.8][trial % 3]
         g = random_graph(rng, n, density, max_weight=3)
         assert solve(g) == brute_force(g)
+        equal = WeightedGraph([1 + trial % 3] * n, g.adj)
+        assert solve(equal) == brute_force(equal)
 
 
 def test_graph_validation():

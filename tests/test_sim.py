@@ -13,7 +13,7 @@ from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_po
 from fedmarket.cli import main as cli_main
 from fedmarket.errors import ConfigError
 from fedmarket.market import BID
-from fedmarket.maxclique import WeightedGraph, write_dimacs
+from fedmarket.maxclique import WeightedGraph
 from fedmarket.nn import clone_model
 from fedmarket.sim import (
     AllianceRecord,
@@ -29,6 +29,7 @@ from fedmarket.sim import (
     run_scenario,
 )
 from conftest import tiny_cfg
+from oracles import write_dimacs
 
 
 # ---------------------------------------------------------------- data
@@ -198,14 +199,14 @@ def test_config_validation(tmp_path, capsys):
     assert cli_main(argv) == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
     # An alliance pass enumerates every consumer subset, so fedcdc is guarded
-    # at the consumer count the pass was measured for.
-    ScenarioConfig(partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS, n_do=12 * 11))
+    # at the consumer count the pass was measured for. n consumers need n + 1
+    # owner groups, and group 0's owners split evenly over them.
+    n = MAX_ENUMERABLE_CONSUMERS
+    ScenarioConfig(partition=PartitionSizes(n_dc=n, n_do=(n + 1) * n))
+    over = PartitionSizes(n_dc=n + 1, n_do=(n + 2) * (n + 1))
     with pytest.raises(ConfigError, match="partition.n_dc"):
-        ScenarioConfig(partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS + 1, n_do=13 * 12))
-    ScenarioConfig(
-        scenario="restricted",
-        partition=PartitionSizes(n_dc=MAX_ENUMERABLE_CONSUMERS + 1, n_do=13 * 12),
-    )
+        ScenarioConfig(partition=over)
+    ScenarioConfig(scenario="restricted", partition=over)
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
