@@ -104,17 +104,14 @@ class Conflicts:
 
 @dataclass
 class Alliance:
-    """An instantiated coalition: its synthetic consumer and the money trail."""
+    """An instantiated coalition: its synthetic consumer, whose ``budget`` is
+    the pooled payments, and the money trail."""
 
     candidate: AllianceCandidate
     consumer: DataConsumer
     payments: dict[int, float]
     effective_budgets: dict[int, float]
     created_round: int = 0
-
-    @property
-    def budget(self) -> float:
-        return sum(self.payments.values())
 
 
 PolicyFn = Callable[[DataConsumer, list[AnonOffer]], DCResponse]
@@ -294,7 +291,6 @@ def instantiate(
     cannot afford it is skipped.
     """
     by_id = {c.id: c for c in consumers}
-    template = consumers[0].model if consumers else None
     out: list[Alliance] = []
     next_id = id_start
     for cand in sorted(selected, key=lambda c: c.uid):
@@ -309,18 +305,15 @@ def instantiate(
             )
             continue
         union_labels = frozenset.union(*(m.label_set for m in members))
-        assert template is not None
-        model = init_mlp(
-            template.dims[0], hidden_dims, template.num_classes, union_labels, rng
-        )
+        first = members[0].model
+        model = init_mlp(first.dims[0], hidden_dims, first.num_classes, union_labels, rng)
         payments = {m.id: float(budget_share) for m in members}
-        before = {m.id: m.budget for m in members}
-        for m in members:
-            m.budget -= budget_share
         effective = {
-            m.id: before[m.id] + sum(payments[o.id] for o in members if o.id != m.id)
+            m.id: m.budget + sum(payments[o.id] for o in members if o.id != m.id)
             for m in members
         }
+        for m in members:
+            m.budget -= budget_share
         synthetic = DataConsumer(
             id=next_id,
             label_set=cand.shared_labels,
@@ -358,7 +351,7 @@ def create_alliances(
     candidates = enumerate_candidates(
         consumers, owners, history, min_shared_labels, min_shared_owners, uid_start
     )
-    next_uid = max((c.uid for c in candidates), default=uid_start - 1) + 1
+    next_uid = uid_start + len(candidates)
     candidates = [c for c in candidates if c.key() not in existing]
     if not candidates:
         return [], next_uid

@@ -62,6 +62,33 @@ class UnlabeledDataset:
         return self.features.shape[0]
 
 
+@dataclass
+class BlobSpec:
+    """Synthetic Gaussian-cluster data source, the ``blobs`` config section;
+    :func:`gen_blobs` checks its arguments by building one."""
+
+    dim: int = 16
+    num_classes: int = 10
+    per_class: int = 5000
+    spread: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Each class mean is a distinct vertex of the dim-cube.
+        if self.dim < 2:
+            raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        if self.dim > MAX_BLOB_DIM:
+            raise ConfigError(f"dim must be <= {MAX_BLOB_DIM}, got {self.dim}")
+        # (num_classes - 1).bit_length() <= dim is num_classes <= 2**dim.
+        if self.num_classes < 2 or (self.num_classes - 1).bit_length() > self.dim:
+            raise ConfigError(
+                f"num_classes must be in 2..2**dim for dim={self.dim}, got {self.num_classes}"
+            )
+        if self.per_class < 1:
+            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
+        if not (math.isfinite(self.spread) and self.spread >= 0):
+            raise ConfigError(f"spread must be finite and >= 0, got {self.spread}")
+
+
 @dataclass(frozen=True)
 class PartitionSizes:
     """Market data layout: consumer/owner counts and shard sizes.
@@ -99,14 +126,13 @@ class PartitionSizes:
 
 @dataclass(frozen=True)
 class MarketPartition:
-    """Output of :func:`build_market_partition`."""
+    """Output of :func:`build_market_partition`. Owner ``j`` is in group ``j //
+    sizes.owners_per_group``; the shared labels are ``dc_label_sets``' intersection."""
 
     do_shards: list[LabeledDataset]
-    do_groups: list[int]
     dc_label_sets: list[frozenset[int]]
     dc_val_shards: list[LabeledDataset]
     public: UnlabeledDataset
-    shared_labels: frozenset[int]
 
 
 def gen_blobs(
@@ -123,16 +149,12 @@ def gen_blobs(
     ``per_class`` rows of every class come first, in class order; the last
     ``held_out`` rows of every class follow, in class order. Both blocks are
     filled into one array, so a caller can take them as views, e.g. a train
-    pool and a held-out test pool on the same class means.
+    pool and a held-out test pool on the same class means. The other
+    arguments are checked as a :class:`BlobSpec`, raising :class:`ConfigError`.
     """
-    if num_classes < 2 or dim < 2:
-        raise ValueError("need num_classes >= 2 and dim >= 2")
-    if dim > MAX_BLOB_DIM:
-        raise ValueError(f"dim must be <= {MAX_BLOB_DIM} (vertex codes are int64), got {dim}")
-    if per_class < 1 or held_out < 0:
-        raise ValueError("per_class must be positive and held_out non-negative")
-    if num_classes > 2**dim:
-        raise ValueError(f"cannot place {num_classes} distinct means on a {dim}-cube")
+    BlobSpec(dim, num_classes, per_class, spread)
+    if held_out < 0:
+        raise ValueError(f"held_out must be >= 0, got {held_out}")
     rng = np.random.default_rng(seed)
     means = _distinct_vertices(num_classes, dim, rng)
     kept = num_classes * per_class
@@ -188,12 +210,11 @@ def build_market_partition(
     pools = _class_pools(base, rng)
     group_labels = [shared, *unique_blocks]
 
-    do_shards: list[LabeledDataset] = []
-    do_groups: list[int] = []
-    for group, labels in enumerate(group_labels):
-        for _ in range(sizes.owners_per_group):
-            do_shards.append(_gather(base, _draw_balanced(pools, labels, sizes.samples_per_do)))
-            do_groups.append(group)
+    do_shards = [
+        _gather(base, _draw_balanced(pools, labels, sizes.samples_per_do))
+        for labels in group_labels
+        for _ in range(sizes.owners_per_group)
+    ]
 
     dc_val_shards = [
         _gather(base, _draw_balanced(pools, dc_label_sets[i], sizes.samples_per_val))
@@ -204,7 +225,7 @@ def build_market_partition(
     order = rng.permutation(len(idx))
     public = UnlabeledDataset(base.features[idx[order]])
 
-    return MarketPartition(do_shards, do_groups, dc_label_sets, dc_val_shards, public, shared)
+    return MarketPartition(do_shards, dc_label_sets, dc_val_shards, public)
 
 
 def _class_pools(base: LabeledDataset, rng: np.random.Generator) -> dict[int, np.ndarray]:

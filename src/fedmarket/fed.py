@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,16 @@ class FLRoundConfig:
     lr: float = 0.001
 
     def __post_init__(self) -> None:
-        for key in ("local_epochs", "distill_epochs", "batch_size"):
+        for key in ("local_epochs", "distill_epochs"):
             if (n := getattr(self, key)) < 1:
                 raise ValueError(f"{key} must be >= 1, got {n}")
         if self.method not in ("fedavg", "feddf"):
             raise ValueError(f"unknown aggregation method {self.method!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        self.feddf_distill()  # checks batch_size and lr
+
+    def feddf_distill(self) -> DistillConfig:
+        """FedDF's distillation settings; local training shares batch_size and lr."""
+        return DistillConfig(FEDDF_ALPHA, self.distill_epochs, self.batch_size, self.lr)
 
 
 def fedavg_aggregate(local_models: list[tuple[Mlp, int]]) -> Mlp:
@@ -103,9 +105,8 @@ def feddf_round(
 ) -> Mlp:
     """FedDF aggregation: FedAvg init, then distill on uniform-average teacher logits."""
     student = fedavg_aggregate(local_models)
-    distill_cfg = DistillConfig(FEDDF_ALPHA, cfg.distill_epochs, cfg.batch_size, cfg.lr)
     teachers = [m for m, _ in local_models]
-    return distill_train(student, teachers, public, distill_cfg, rng, uniform_weights)
+    return distill_train(student, teachers, public, cfg.feddf_distill(), rng, uniform_weights)
 
 
 def run_fl_round(

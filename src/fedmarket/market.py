@@ -141,23 +141,18 @@ def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> dict[int, i
 def match_first_price(bids: np.ndarray, budgets: Mapping[int, float]) -> dict[int, int]:
     """First-price greedy owner id -> consumer id: each owner to its highest affordable bidder.
 
-    Ties go to the lowest consumer index; winners pay their bid out of the
-    remaining budget. Owners nobody bids on (affordably) stay unmatched.
+    Owners go in column order. Ties go to the lowest consumer index (the
+    first maximum of the masked column); winners pay their bid out of the
+    remaining budget, 0 for a row missing from ``budgets``. Owners nobody
+    bids on (affordably) stay unmatched.
     """
     b = np.asarray(bids, dtype=float)
-    remaining = dict(budgets)
+    remaining = np.array([budgets.get(cid, 0.0) for cid in range(b.shape[0])], dtype=float)
     assignment: dict[int, int] = {}
     for o in range(b.shape[1]):
-        best_cid = -1
-        best_bid = 0.0
-        for cid in range(b.shape[0]):
-            amount = b[cid, o]
-            if amount <= 0 or remaining.get(cid, 0.0) < amount:
-                continue
-            if amount > best_bid:
-                best_bid = amount
-                best_cid = cid
-        if best_cid >= 0:
-            assignment[o] = best_cid
-            remaining[best_cid] -= best_bid
+        col = np.where((b[:, o] > 0) & (b[:, o] <= remaining), b[:, o], 0.0)
+        cid = int(np.argmax(col))
+        if col[cid] > 0:
+            assignment[o] = cid
+            remaining[cid] -= col[cid]
     return assignment

@@ -22,7 +22,7 @@ import numpy as np
 
 from .alliances import MAX_ENUMERABLE_CONSUMERS, Alliance, candidate_value, create_alliances
 from .data import (
-    MAX_BLOB_DIM,
+    BlobSpec,
     LabeledDataset,
     PartitionSizes,
     UnlabeledDataset,
@@ -59,32 +59,6 @@ _S_MATCHING = 5
 _S_TRAINING = 6
 _S_DISTILL = 7
 _S_ALLIANCE = 8
-
-
-@dataclass
-class BlobSpec:
-    """Synthetic Gaussian-cluster data source."""
-
-    dim: int = 16
-    num_classes: int = 10
-    per_class: int = 5000
-    spread: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Each class mean is a distinct vertex of the dim-cube.
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if self.dim > MAX_BLOB_DIM:
-            raise ConfigError(f"dim must be <= {MAX_BLOB_DIM}, got {self.dim}")
-        # (num_classes - 1).bit_length() <= dim is num_classes <= 2**dim.
-        if self.num_classes < 2 or (self.num_classes - 1).bit_length() > self.dim:
-            raise ConfigError(
-                f"num_classes must be in 2..2**dim for dim={self.dim}, got {self.num_classes}"
-            )
-        if self.per_class < 1:
-            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
-        if not (math.isfinite(self.spread) and self.spread >= 0):
-            raise ConfigError(f"spread must be finite and >= 0, got {self.spread}")
 
 
 @dataclass
@@ -501,7 +475,7 @@ def _record_of(a: Alliance) -> AllianceRecord:
         value=candidate_value(a.candidate),
         payments={str(k): v for k, v in a.payments.items()},
         effective_budgets={str(k): v for k, v in a.effective_budgets.items()},
-        budget=a.budget,
+        budget=a.consumer.budget,
         synthetic_dc_id=a.consumer.id,
     )
 

@@ -10,11 +10,13 @@ builds the ``alliances.Conflicts`` that tests hand to ``select_alliances``.
 ``distill_loss`` and ``kl_div`` evaluate the distillation objective whose
 gradient ``distill.distill_loss_grad`` computes. ``split_per_class`` splits a
 generated dataset into each class's first rows and the rest, the reference
-for ``data.gen_blobs``' held-out block.
+for ``data.gen_blobs``' held-out block. ``match_first_price_loop`` scans
+every bidder of every owner, the oracle for ``market.match_first_price``.
 """
 import logging
 from itertools import combinations
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -247,3 +249,28 @@ def split_per_class(ds: LabeledDataset, first_count: int) -> tuple[LabeledDatase
         LabeledDataset(ds.features[fi], ds.labels[fi], ds.num_classes),
         LabeledDataset(ds.features[ri], ds.labels[ri], ds.num_classes),
     )
+
+
+def match_first_price_loop(bids: np.ndarray, budgets: Mapping[int, float]) -> dict[int, int]:
+    """First-price greedy owner id -> consumer id: each owner to its highest affordable bidder.
+
+    Ties go to the lowest consumer index; winners pay their bid out of the
+    remaining budget. Owners nobody bids on (affordably) stay unmatched.
+    """
+    b = np.asarray(bids, dtype=float)
+    remaining = dict(budgets)
+    assignment: dict[int, int] = {}
+    for o in range(b.shape[1]):
+        best_cid = -1
+        best_bid = 0.0
+        for cid in range(b.shape[0]):
+            amount = b[cid, o]
+            if amount <= 0 or remaining.get(cid, 0.0) < amount:
+                continue
+            if amount > best_bid:
+                best_bid = amount
+                best_cid = cid
+        if best_cid >= 0:
+            assignment[o] = best_cid
+            remaining[best_cid] -= best_bid
+    return assignment

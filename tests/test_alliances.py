@@ -497,7 +497,6 @@ def test_instantiate_budget_sum():
     out = instantiate([cand], consumers, 10.0, [8], np.random.default_rng(0), id_start=3)
     assert len(out) == 1
     a = out[0]
-    assert a.budget == 30.0
     assert a.consumer.budget == 30.0
     assert all(p == 10.0 for p in a.payments.values())
     assert a.consumer.is_synthetic

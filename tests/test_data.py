@@ -64,6 +64,12 @@ def test_blobs_too_many_classes_rejected():
         gen_blobs(5, 2, 3, 1.0, 0)
 
 
+@pytest.mark.parametrize("spread", [float("nan"), float("inf"), -1.0])
+def test_blobs_bad_spread_rejected(spread):
+    with pytest.raises(ConfigError, match=f"spread must be finite and >= 0, got {spread}"):
+        gen_blobs(3, 4, 5, spread, 0)
+
+
 def test_blobs_dim_above_63_rejected():
     # Vertex codes are int64 draws below 2**dim; 2**64 is out of range.
     with pytest.raises(ValueError, match="dim must be <= 63"):
@@ -135,24 +141,24 @@ def test_partition_matches_group_construction():
     base = gen_blobs(10, 4, 200, 1.0, 3)
     part = build_market_partition(spec, base, 0)
 
-    assert len(part.shared_labels) == 2
-    inter = frozenset.intersection(*part.dc_label_sets)
-    assert inter == part.shared_labels
+    shared = frozenset.intersection(*part.dc_label_sets)
+    assert len(shared) == 2
     for labels in part.dc_label_sets:
         assert len(labels) == 4
-        assert len(labels - part.shared_labels) == 2
-    uniques = [labels - part.shared_labels for labels in part.dc_label_sets]
+        assert len(labels - shared) == 2
+    uniques = [labels - shared for labels in part.dc_label_sets]
     for i in range(3):
         for j in range(i + 1, 3):
             assert not (uniques[i] & uniques[j])
 
     assert len(part.do_shards) == 24
-    assert sorted(set(part.do_groups)) == [0, 1, 2, 3]
-    assert all(part.do_groups.count(g) == 6 for g in range(4))
-    for shard, group in zip(part.do_shards, part.do_groups):
+    do_groups = [j // spec.owners_per_group for j in range(len(part.do_shards))]
+    assert sorted(set(do_groups)) == [0, 1, 2, 3]
+    assert all(do_groups.count(g) == 6 for g in range(4))
+    for shard, group in zip(part.do_shards, do_groups):
         held = frozenset(int(c) for c in np.unique(shard.labels))
         if group == 0:
-            assert held == part.shared_labels
+            assert held == shared
         else:
             assert held == uniques[group - 1]
         assert (np.bincount(shard.labels, minlength=10)[sorted(held)] == 20).all()

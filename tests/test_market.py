@@ -18,6 +18,8 @@ from fedmarket.market import (
 )
 from fedmarket.nn import init_mlp
 
+from oracles import match_first_price_loop
+
 
 # ---------------------------------------------------------------- history
 
@@ -191,6 +193,7 @@ def test_first_price_market_properties(data):
         st.dictionaries(st.integers(0, n_c - 1), st.integers(0, 12).map(lambda h: h / 2))
     )
     m = match_first_price(bids, budgets)
+    assert m == match_first_price_loop(bids, budgets)
     assert set(m) <= set(range(n_o))
     # Replay the owners in column order, each winner paying its bid.
     remaining = {c: budgets.get(c, 0.0) for c in range(n_c)}

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -689,3 +692,17 @@ def test_cli_bad_config_reports_error(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_leaf_modules_import_without_the_simulator():
+    # The package root re-exports nothing, so a leaf module loads only its own imports.
+    src = str(Path(sim.__file__).resolve().parents[1])
+    code = (
+        "import sys, fedmarket.nn, fedmarket.data, fedmarket.maxclique; "
+        "print('fedmarket.sim' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
