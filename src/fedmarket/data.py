@@ -114,6 +114,9 @@ class PartitionSizes:
             raise ConfigError(
                 f"n_do={self.n_do} must divide into {self.n_dc + 1} equal owner groups"
             )
+        for key, least in (("samples_per_do", 1), ("samples_per_val", 1), ("public_size", 0)):
+            if (n := getattr(self, key)) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {n}")
 
     @property
     def n_shared(self) -> int:

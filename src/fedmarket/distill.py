@@ -7,7 +7,8 @@ output position with weight renormalization over the teachers active there.
 FedDF's aggregation runs the same loop with uniform weights.
 
 The kernels work on rows: the last axis holds the student's active labels,
-``target_index``, in sorted order.
+``target_index``, in sorted order, and a teacher table stacks the teachers
+on the first axis.
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from .nn import (
     softmax,
 )
 
-# A teacher weighting: (teacher logits, contributor masks, target_index) ->
-# (n_teachers, batch) per-sample weights.
-Weighting = Callable[[list[np.ndarray], list[np.ndarray], np.ndarray], np.ndarray]
+# A teacher weighting: (teacher logits over the target columns, contributor
+# masks) -> (n_teachers, n) per-sample weights.
+Weighting = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -54,83 +55,76 @@ class DistillConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
-def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> list[np.ndarray]:
-    """Boolean masks over the target positions, one per teacher, True where it is active.
+def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> np.ndarray:
+    """``(n_teachers, n_targets)`` booleans, True where the teacher is active at the target.
 
     Every target position needs a teacher, and every teacher a target position.
     """
     if not teachers:
         raise ValueError("ensemble needs at least one teacher")
-    masks = [t.active_mask[target_index] for t in teachers]
-    if not all(mask.any() for mask in masks):
+    masks = np.stack([t.active_mask[target_index] for t in teachers])
+    if not masks.any(axis=1).all():
         raise ValueError("a teacher shares no labels with the student")
-    cover = np.logical_or.reduce(masks)
+    cover = masks.any(axis=0)
     if not cover.all():
         orphan = int(target_index[np.flatnonzero(~cover)[0]])
         raise ValueError(f"no teacher covers class {orphan}")
     return masks
 
 
-def entropy_weights(
-    teacher_logits: list[np.ndarray],
-    contrib: list[np.ndarray],
-    target_index: np.ndarray,
-) -> np.ndarray:
+def entropy_weights(z: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     """Per-sample weights proportional to exp(-entropy), normalized over the teachers.
 
     A teacher's entropy is that of its distribution over the target
     positions it covers.
     """
-    h = np.stack(
-        [entropy(softmax(z, target_index[mask])) for z, mask in zip(teacher_logits, contrib)]
-    )
+    h = np.stack([entropy(softmax(z_t, mask)) for z_t, mask in zip(z, contrib)])
     e = np.exp(-h)
     return e / e.sum(axis=0, keepdims=True)
 
 
-def uniform_weights(
-    teacher_logits: list[np.ndarray],
-    contrib: list[np.ndarray],
-    target_index: np.ndarray,
-) -> np.ndarray:
+def uniform_weights(z: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     """Uniform per-sample teacher weights (plain logit averaging)."""
-    n_t = len(teacher_logits)
-    return np.full((n_t, *teacher_logits[0].shape[:-1]), 1.0 / n_t)
+    return np.full(z.shape[:-1], 1.0 / len(z))
 
 
-def combine_teachers(
-    teacher_logits: list[np.ndarray],
-    weights: np.ndarray,
-    contrib: list[np.ndarray],
-    target_index: np.ndarray,
-) -> np.ndarray:
-    """Per-position weighted combination of teacher logits over the target positions.
+def combine_teachers(z: np.ndarray, weights: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    """Per-position weighted combination of the teachers' target-column logits ``z``.
 
     A teacher contributes to a position only where it is active; weights are
     renormalized per position over the contributing teachers.
     """
-    shape = (*teacher_logits[0].shape[:-1], target_index.size)
-    num = np.zeros(shape)
-    den = np.zeros(shape)
-    for z, w, mask in zip(teacher_logits, weights, contrib):
-        vals = z[..., target_index] * mask
-        num += w[..., None] * vals
+    num = np.zeros(z.shape[1:])
+    den = np.zeros(z.shape[1:])
+    for z_t, w, mask in zip(z, weights, contrib):
+        num += w[..., None] * (z_t * mask)
         den += w[..., None] * mask
     return num / den
 
 
 def teacher_targets(
     teachers: Sequence[Mlp],
-    contrib: list[np.ndarray],
+    contrib: np.ndarray,
     x: np.ndarray,
     weighting: Weighting,
     target_index: np.ndarray,
+    rows: int,
 ) -> np.ndarray:
-    """The ensemble's target distribution p_t over the target positions, one row per sample."""
-    t_logits = [forward(t, x) for t in teachers]
-    w = weighting(t_logits, contrib, target_index)
-    z_t = combine_teachers(t_logits, w, contrib, target_index)
-    return softmax(z_t, slice(None))  # z_t holds only the target columns
+    """The ensemble's target distribution p_t over the target positions, one row per sample.
+
+    The teachers forward ``x`` in ``rows``-row chunks: the BLAS may round a
+    row differently depending on how many rows share the call, and a chunk of
+    the training batch size computes each row as a full batch would. Their
+    target columns form one ``(n_teachers, n, n_targets)`` table, and the
+    rest is row-wise.
+    """
+    z = np.stack([
+        np.concatenate(
+            [forward(t, x[i : i + rows])[:, target_index] for i in range(0, len(x), rows)]
+        )
+        for t in teachers
+    ])
+    return softmax(combine_teachers(z, weighting(z, contrib), contrib), slice(None))
 
 
 def distill_loss_grad(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndarray:
@@ -165,7 +159,8 @@ def distill_train(
     permutation, with one Adam step per batch, and returns the student.
     ``weighting`` is FedCDC's :func:`entropy_weights` or FedDF's
     :func:`uniform_weights`. The teachers' targets form one table over the
-    pool, built once before the first epoch and gathered per batch.
+    pool, built by one :func:`teacher_targets` call before the first epoch
+    and gathered per batch.
     """
     n = len(public)
     if n == 0:
@@ -174,12 +169,8 @@ def distill_train(
     contrib = contributor_masks(teachers, target_index)
     if cfg.epochs == 0:
         return student
-    # Built in batch-sized chunks: the BLAS may round a row differently
-    # depending on how many rows share the call, and a chunk computes each
-    # row as a full training batch would.
-    chunks = [public.features[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
-    p_pool = np.concatenate(
-        [teacher_targets(teachers, contrib, x, weighting, target_index) for x in chunks]
+    p_pool = teacher_targets(
+        teachers, contrib, public.features, weighting, target_index, cfg.batch_size
     )
     opt = init_adam(student.flat, lr=cfg.lr)
     for (idx,) in batch_schedule(n, cfg.epochs, cfg.batch_size, [rng]):

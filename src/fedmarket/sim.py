@@ -143,9 +143,13 @@ class ScenarioConfig:
                 f"partition.n_dc={self.partition.n_dc} exceeds the alliance "
                 f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)"
             )
+        sizes = self.partition
+        if (self.scenario == "fedcdc" or self.fl.method == "feddf") and sizes.public_size < 1:
+            raise ConfigError(
+                f"partition.public_size={sizes.public_size} leaves no public data to distil on"
+            )
         # Every consumer bids on every group-0 owner, so the partition
         # mechanism splits that group over all of them.
-        sizes = self.partition
         if (
             self.scenario != "unrestricted"
             and self.mechanism == "partition"

@@ -31,7 +31,7 @@ from fedmarket.data import LabeledDataset
 from fedmarket.errors import ConfigError
 from fedmarket.market import max_bid_matrix
 from fedmarket.maxclique import WeightedGraph
-from fedmarket.nn import PROB_FLOOR, softmax
+from fedmarket.nn import PROB_FLOOR, entropy, forward, softmax
 
 BRUTE_FORCE_MAX_NODES = 25
 
@@ -225,6 +225,56 @@ def distill_loss(student_active_logits: np.ndarray, p_t: np.ndarray, alpha: floa
     pseudo = np.argmax(p_t, axis=-1)[..., None]
     hard = -np.log(np.maximum(np.take_along_axis(p_s, pseudo, axis=-1)[..., 0], PROB_FLOOR))
     return alpha * kl_div(p_s, p_t) + (1.0 - alpha) * hard
+
+
+# The teacher table built per chunk, one ensemble call per batch-sized chunk
+# of K-wide teacher logits with ``target_index`` threaded through each step.
+
+def entropy_weights_kwide(teacher_logits, contrib, target_index):
+    """Per-sample weights proportional to exp(-entropy), normalized over the teachers."""
+    h = np.stack(
+        [entropy(softmax(z, target_index[mask])) for z, mask in zip(teacher_logits, contrib)]
+    )
+    e = np.exp(-h)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def uniform_weights_kwide(teacher_logits, contrib, target_index):
+    """Uniform per-sample teacher weights (plain logit averaging)."""
+    n_t = len(teacher_logits)
+    return np.full((n_t, *teacher_logits[0].shape[:-1]), 1.0 / n_t)
+
+
+def combine_teachers_kwide(teacher_logits, weights, contrib, target_index):
+    """Per-position weighted combination of teacher logits over the target positions."""
+    shape = (*teacher_logits[0].shape[:-1], target_index.size)
+    num = np.zeros(shape)
+    den = np.zeros(shape)
+    for z, w, mask in zip(teacher_logits, weights, contrib):
+        vals = z[..., target_index] * mask
+        num += w[..., None] * vals
+        den += w[..., None] * mask
+    return num / den
+
+
+def teacher_targets_kwide(teachers, contrib, x, weighting, target_index):
+    """The ensemble's target distribution over the target positions for one chunk ``x``."""
+    t_logits = [forward(t, x) for t in teachers]
+    w = weighting(t_logits, contrib, target_index)
+    z_t = combine_teachers_kwide(t_logits, w, contrib, target_index)
+    return softmax(z_t, slice(None))  # z_t holds only the target columns
+
+
+def teacher_table_per_chunk(teachers, x, weighting, target_index, rows):
+    """The teacher table over ``x`` as one ensemble call per ``rows``-row chunk.
+
+    ``weighting`` is :func:`entropy_weights_kwide` or :func:`uniform_weights_kwide`.
+    """
+    contrib = [t.active_mask[target_index] for t in teachers]
+    chunks = [x[i : i + rows] for i in range(0, len(x), rows)]
+    return np.concatenate(
+        [teacher_targets_kwide(teachers, contrib, c, weighting, target_index) for c in chunks]
+    )
 
 
 def split_per_class(ds: LabeledDataset, first_count: int) -> tuple[LabeledDataset, LabeledDataset]:

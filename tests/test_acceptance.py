@@ -157,7 +157,7 @@ def test_criterion_5_distillation_math():
     # entropy weights: one-hot teacher vs uniform-over-4 teacher -> (0.8, 0.2)
     confident = np.array([1000.0, 0.0, 0.0, 0.0])
     uniform = np.array([0.0, 0.0, 0.0, 0.0])
-    w = entropy_weights([confident, uniform], [np.ones(4, dtype=bool)] * 2, np.arange(4))
+    w = entropy_weights(np.array([confident, uniform]), np.ones((2, 4), dtype=bool))
     assert abs(w[0] - 0.8) < 1e-9
     assert abs(w[1] - 0.2) < 1e-9
 

@@ -32,14 +32,19 @@ from fedmarket.nn import (
 )
 
 from conftest import max_grad_rel_error
-from oracles import distill_loss, split_per_class
+from oracles import (
+    distill_loss,
+    entropy_weights_kwide,
+    split_per_class,
+    teacher_table_per_chunk,
+    uniform_weights_kwide,
+)
 
 
 def weights_of(*rows):
     """entropy_weights of one-row teacher logits that each cover every position."""
-    k = len(rows[0])
-    covers = [np.ones(k, dtype=bool)] * len(rows)
-    return entropy_weights([np.asarray(z, dtype=float) for z in rows], covers, np.arange(k))
+    z = np.array(rows, dtype=float)
+    return entropy_weights(z, np.ones(z.shape, dtype=bool))
 
 
 def target(z):
@@ -99,27 +104,27 @@ def test_duplicate_teacher_increases_its_mass():
 
 # ---------------------------------------------------------------- combine
 
-ALL2 = [np.ones(2, dtype=bool)]
+ALL2 = np.ones((1, 2), dtype=bool)
 
 
 def test_ensemble_single_teacher_identity():
     z = np.array([1.5, -0.5])
-    out = combine_teachers([z], np.array([1.0]), ALL2, np.arange(2))
+    out = combine_teachers(z[None], np.array([1.0]), ALL2)
     assert np.allclose(out, z)
 
 
 def test_ensemble_full_overlap_mean():
     a = np.array([2.0, 0.0])
     b = np.array([0.0, 4.0])
-    out = combine_teachers([a, b], np.array([0.5, 0.5]), ALL2 * 2, np.arange(2))
+    out = combine_teachers(np.array([a, b]), np.array([0.5, 0.5]), np.repeat(ALL2, 2, axis=0))
     assert np.allclose(out, [1.0, 2.0])
 
 
 def test_ensemble_partial_overlap_renormalizes():
     a = np.array([1.0, 3.0, 50.0])  # active {0, 1}; the inactive logit is never read
     b = np.array([-50.0, 5.0, 7.0])  # active {1, 2}
-    contrib = [np.array([True, True, False]), np.array([False, True, True])]
-    out = combine_teachers([a, b], np.array([0.5, 0.5]), contrib, np.arange(3))
+    contrib = np.array([[True, True, False], [False, True, True]])
+    out = combine_teachers(np.array([a, b]), np.array([0.5, 0.5]), contrib)
     assert out[0] == 1.0  # only teacher A covers class 0
     assert out[2] == 7.0  # only teacher B covers class 2
     assert out[1] == 4.0  # averaged with renormalized (equal) weights
@@ -310,16 +315,23 @@ def _overlapping_setup(n_rows):
 def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
     pub, teachers, student = _overlapping_setup(197)
     calls = []
+    table_calls = []
 
     def counted(model, x):
         calls.append(len(x))
         return forward(model, x)
 
+    def counted_table(*args):
+        table_calls.append(len(args[2]))
+        return teacher_targets(*args)
+
     monkeypatch.setattr(distill, "forward", counted)
+    monkeypatch.setattr(distill, "teacher_targets", counted_table)
     distill_train(student, teachers, pub, DistillConfig(0.5, epochs, 32, 0.01),
                   np.random.default_rng(64))
     # No epoch, no table: the teachers are only checked.
     tables = 1 if epochs else 0
+    assert table_calls == [197] * tables
     assert len(calls) == tables * len(teachers) * math.ceil(197 / 32)
     assert sum(calls) == tables * len(teachers) * 197
 
@@ -334,7 +346,7 @@ def _oracle_distill_train(student, teachers, weighting, public, alpha, epochs, b
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             x = public.features[order[start : start + batch_size]]
-            p_t = teacher_targets(teachers, contrib, x, weighting, target_index)
+            p_t = teacher_targets(teachers, contrib, x, weighting, target_index, batch_size)
             logits, acts = forward_cached(student, x)
             dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
             dlogits = np.zeros_like(logits)
@@ -356,6 +368,22 @@ def test_target_table_matches_per_batch_targets(weighting, n_rows):
                           np.random.default_rng(65))
     assert not np.array_equal(student.flat, _overlapping_setup(n_rows)[2].flat)  # it trained
     np.testing.assert_allclose(student.flat, oracle.flat, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "weighting, weighting_kwide",
+    [(entropy_weights, entropy_weights_kwide), (uniform_weights, uniform_weights_kwide)],
+)
+@pytest.mark.parametrize("n_rows", [197, 193])
+def test_teacher_table_matches_per_chunk_build(weighting, weighting_kwide, n_rows):
+    # Partial coverage, and a short last chunk (5 rows, 1 row).
+    pub, teachers, student = _overlapping_setup(n_rows)
+    target_index = student.active_index
+    contrib = contributor_masks(teachers, target_index)
+    table = teacher_targets(teachers, contrib, pub.features, weighting, target_index, 32)
+    expected = teacher_table_per_chunk(teachers, pub.features, weighting_kwide, target_index, 32)
+    assert table.shape == (n_rows, target_index.size)
+    assert np.array_equal(table, expected)
 
 
 def _oracle_entropy_weights(rows):
@@ -380,7 +408,7 @@ def test_batched_weights_match_single_sample_op():
     x = rng.normal(size=(6, 4))
     t_logits = [forward(t, x) for t in teachers]
     contrib = contributor_masks(teachers, target_index)
-    batched = entropy_weights(t_logits, contrib, target_index)
+    batched = entropy_weights(np.stack([z[:, target_index] for z in t_logits]), contrib)
     for row in range(6):
         expected = _oracle_entropy_weights(
             [z[row, target_index[mask]] for z, mask in zip(t_logits, contrib)]

@@ -223,7 +223,7 @@ def feddf_loss(student, teachers, public, alpha):
     """Mean FedDF (uniform-ensemble) distillation loss over the public pool."""
     idx = student.active_index
     contrib = contributor_masks(teachers, idx)
-    p_t = teacher_targets(teachers, contrib, public.features, uniform_weights, idx)
+    p_t = teacher_targets(teachers, contrib, public.features, uniform_weights, idx, len(public))
     return float(distill_loss(forward(student, public.features)[:, idx], p_t, alpha).mean())
 
 

@@ -169,12 +169,23 @@ def test_config_validation(tmp_path, capsys):
         ({"blobs": {"per_class": 0}}, "'blobs': per_class must be >= 1, got 0"),
         # vertex codes are int64 draws below 2**dim
         ({"blobs": {"dim": 64}}, "'blobs': dim must be <= 63, got 64"),
+        # shard sizes that fail only in set-up or at the first evaluation
+        ({"partition": {"samples_per_do": 0}}, "'partition': samples_per_do must be >= 1, got 0"),
+        ({"partition": {"samples_per_do": -2}}, "'partition': samples_per_do must be >= 1, got -2"),
+        ({"partition": {"samples_per_val": 0}}, "'partition': samples_per_val must be >= 1, got 0"),
+        ({"partition": {"public_size": -7}}, "'partition': public_size must be >= 0, got -7"),
+        # an empty public pool fails only at the first distillation
+        ({"partition": {"public_size": 0}}, "partition.public_size=0"),
+        ({"scenario": "restricted", "fl": {"method": "feddf"}, "partition": {"public_size": 0}},
+         "partition.public_size=0"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
     ScenarioConfig(min_shared_owners=1, hidden_dims=[1], samples_per_test=1)
     config_from_dict({"blobs": {"dim": 2, "num_classes": 4, "per_class": 1, "spread": 0}})
     config_from_dict({"blobs": {"dim": 63}})
+    for scenario in ("restricted", "unrestricted"):  # FedAvg distils nothing
+        config_from_dict({"scenario": scenario, "partition": {"public_size": 0}})
     ScenarioConfig(hidden_dims=[])
     path = tmp_path / "zero_width.json"
     path.write_text(json.dumps({"hidden_dims": [0]}))
