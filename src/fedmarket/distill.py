@@ -25,6 +25,7 @@ from .nn import (
     adam_step,
     backward,
     batch_schedule,
+    cross_entropy,
     entropy,
     forward,
     forward_cached,
@@ -138,10 +139,7 @@ def distill_loss_grad(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndar
     kl_row = (p_s * log_ratio).sum(axis=1, keepdims=True)
     grad = alpha * p_s * (log_ratio - kl_row)
     if alpha < 1.0:
-        pseudo = np.argmax(p_t, axis=1)
-        hard = p_s.copy()
-        hard[np.arange(p_s.shape[0]), pseudo] -= 1.0
-        grad = grad + (1.0 - alpha) * hard
+        grad = grad + (1.0 - alpha) * cross_entropy(p_s, np.argmax(p_t, axis=1))[1]
     return grad
 
 
@@ -177,7 +175,5 @@ def distill_train(
         x = public.features[idx]
         logits, acts = forward_cached(student, x)
         dz = distill_loss_grad(softmax(logits, target_index), p_pool[idx], cfg.alpha)
-        dlogits = np.zeros_like(logits)
-        dlogits[:, target_index] = dz / x.shape[0]
-        adam_step(opt, student.flat, backward(student, acts, dlogits))
+        adam_step(opt, student.flat, backward(student, acts, dz))
     return student

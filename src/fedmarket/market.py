@@ -7,7 +7,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError
 from .nn import Mlp
 
 # Every consumer bids this much for each owner it wants, under both mechanisms.
@@ -112,7 +111,9 @@ def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> dict[int, i
     unmatched. Owners with the same set of bidders form a group, and groups
     in sorted bidder order get indices 0, 1, ...; group ``g`` is shuffled
     with seed ``[*seed, g]`` and dealt to its bidders in equal slices, in row
-    order. Deterministic per seed.
+    order. The remainder at the tail of the shuffled order goes one owner
+    each to distinct bidders drawn from the same generator, so every bidder
+    gets the floor or the ceiling of an even share. Deterministic per seed.
     """
     b = np.asarray(bids)
     assignment: dict[int, int] = {}
@@ -125,16 +126,15 @@ def match_random_partition(bids: np.ndarray, seed: Sequence[int]) -> dict[int, i
             groups.setdefault(rows, []).append(o)
     for g, (rows, owners) in enumerate(sorted(groups.items())):
         per_row = len(owners) // len(rows)
-        if len(owners) != per_row * len(rows):
-            raise ConfigError(
-                f"{len(owners)} contested owners cannot be split {per_row} apiece "
-                f"over {len(rows)} consumers"
-            )
         order = np.array(owners, dtype=np.int64)
-        np.random.default_rng([*seed, g]).shuffle(order)
+        rng = np.random.default_rng([*seed, g])
+        rng.shuffle(order)
         for i, row in enumerate(rows):
             for o in order[i * per_row : (i + 1) * per_row]:
                 assignment[int(o)] = row
+        extra = rng.choice(len(rows), len(owners) % len(rows), replace=False)
+        for o, i in zip(order[per_row * len(rows) :], extra):
+            assignment[int(o)] = rows[i]
     return assignment
 
 

@@ -161,15 +161,18 @@ def forward_cached(model: Mlp, batch: np.ndarray) -> tuple[np.ndarray, list[np.n
     return h, acts
 
 
-def backward(model: Mlp, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
-    """Parameter gradients given dL/dlogits, as one buffer shaped like ``model.flat``.
+def backward(model: Mlp, acts: list[np.ndarray], dz: np.ndarray) -> np.ndarray:
+    """Parameter gradients, as one buffer shaped like ``model.flat``.
 
-    The losses are formed over the active columns only, so ``dlogits`` is
-    zero at the inactive ones and their output parameters get zero gradient.
+    ``dz`` is each row's loss gradient in the model's active logits, in
+    ``active_index`` order and not yet averaged over the batch rows. Losses
+    read only the active columns, so the inactive logits, and the output
+    parameters that feed them, get zero gradient.
     """
+    delta = np.zeros((*dz.shape[:-1], model.num_classes))
+    delta[..., model.active_index] = dz / dz.shape[-2]
     grad = np.empty_like(model.flat)
     grads_w, grads_b = _layer_views(grad, model.dims)
-    delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads_w[i])
         delta.sum(axis=-2, out=grads_b[i])
@@ -248,23 +251,21 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> None:
     param -= s
 
 
-def cross_entropy_grad(
-    model: Mlp, logits: np.ndarray, labels: np.ndarray
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the active softmax and its K-wide logit gradient.
+def cross_entropy(p: np.ndarray, pos: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the active probabilities ``p`` at the label positions ``pos``.
 
-    The gradient is zero at inactive columns. For a stack, ``logits`` is
-    ``(M, batch, K)`` and the loss is one value per model.
+    ``pos`` indexes the last axis of ``p``. Returns the loss and each row's
+    gradient in the active logits, ``p`` minus the one-hot of ``pos``, not yet
+    averaged. For a stack, ``p`` is ``(M, batch, n)`` and the loss is one
+    value per model.
     """
-    dlogits = np.zeros_like(logits)
-    dlogits[..., model.active_index] = softmax(logits, model.active_index)
-    k = dlogits.shape[-1]
-    hit = (np.arange(labels.size), labels.ravel())  # each sample's label, one row per sample
-    picked = dlogits.reshape(-1, k)[hit].reshape(labels.shape)
+    n = p.shape[-1]
+    hit = (np.arange(pos.size), pos.ravel())  # each sample's label position, one row per sample
+    picked = p.reshape(-1, n)[hit].reshape(pos.shape)
     loss = -np.log(np.maximum(picked, PROB_FLOOR)).mean(axis=-1)
-    dlogits.reshape(-1, k)[hit] -= 1.0
-    dlogits /= logits.shape[-2]
-    return loss, dlogits
+    dz = p.copy()
+    dz.reshape(-1, n)[hit] -= 1.0
+    return loss, dz
 
 
 def batch_schedule(
@@ -294,7 +295,7 @@ def train_step(
         outside = set(np.unique(y).tolist()) - model.active_labels
         raise ValueError(f"labels {sorted(outside)} outside the model's active set")
     logits, acts = forward_cached(model, batch)
-    loss, dlogits = cross_entropy_grad(model, logits, y)
-    adam_step(opt, model.flat, backward(model, acts, dlogits))
+    p = softmax(logits, model.active_index)
+    loss, dz = cross_entropy(p, np.searchsorted(model.active_index, y))
+    adam_step(opt, model.flat, backward(model, acts, dz))
     return loss
-

@@ -148,18 +148,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"partition.public_size={sizes.public_size} leaves no public data to distil on"
             )
-        # Every consumer bids on every group-0 owner, so the partition
-        # mechanism splits that group over all of them.
-        if (
-            self.scenario != "unrestricted"
-            and self.mechanism == "partition"
-            and sizes.n_dc >= 2
-            and sizes.owners_per_group % sizes.n_dc
-        ):
-            raise ConfigError(
-                f"partition.n_do={sizes.n_do}: the {sizes.owners_per_group} shared owners of "
-                f"group 0 cannot be split evenly over n_dc={sizes.n_dc} consumers"
-            )
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:

@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
+from fedmarket import nn
 from fedmarket.data import LabeledDataset, gen_blobs
 from fedmarket.distill import DistillConfig
 from fedmarket.fed import FLRoundConfig
 from fedmarket.market import BiddingHistory, DataConsumer, DataOwner, default_bids, record_bids
-from fedmarket.nn import backward, cross_entropy_grad, forward, forward_cached, init_mlp
+from fedmarket.nn import backward, forward, forward_cached, init_mlp, softmax
 from fedmarket.sim import BlobSpec, PartitionSizes, ScenarioConfig
 
 
@@ -28,6 +31,17 @@ def tiny_cfg(scenario="restricted", **overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def write_idx_pair(directory, images, labels):
+    """Write ``(n, rows, cols)`` uint8 ``images`` and their ``labels`` as IDX files."""
+    directory.mkdir(parents=True, exist_ok=True)
+    n, rows, cols = images.shape
+    img_path = directory / "images.idx"
+    lbl_path = directory / "labels.idx"
+    img_path.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes())
+    lbl_path.write_bytes(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
+    return img_path, lbl_path
 
 
 @pytest.fixture
@@ -101,17 +115,19 @@ def group_market(n_dc, seed):
 
 def cross_entropy(model, y):
     """Mean cross-entropy on labels ``y``, as a ``loss_grad`` for :func:`max_grad_rel_error`."""
-    return lambda logits: cross_entropy_grad(model, logits, y)
+    pos = np.searchsorted(model.active_index, y)
+    return lambda logits: nn.cross_entropy(softmax(logits, model.active_index), pos)
 
 
 def max_grad_rel_error(model, x, loss_grad, h=1e-4):
     """Worst elementwise relative error, analytic vs central finite differences.
 
-    ``loss_grad(logits)`` returns the scalar loss and its gradient dL/dlogits.
+    ``loss_grad(logits)`` returns the scalar mean loss and each row's gradient
+    in the model's active logits, not yet averaged, as :func:`backward` takes it.
     """
     logits, acts = forward_cached(model, x)
-    _, dlogits = loss_grad(logits)
-    p, g = model.flat, backward(model, acts, dlogits)
+    _, dz = loss_grad(logits)
+    p, g = model.flat, backward(model, acts, dz)
     worst = 0.0
     for idx in np.ndindex(p.shape):
         orig = p[idx]

@@ -17,6 +17,7 @@ from fedmarket.data import (
 )
 from fedmarket.errors import ConfigError
 
+from conftest import write_idx_pair
 from oracles import split_per_class
 
 
@@ -225,19 +226,10 @@ def test_split_per_class():
 
 # ---------------------------------------------------------------- IDX format
 
-def _write_idx_pair(tmp_path, images, labels):
-    n, rows, cols = images.shape
-    img_path = tmp_path / "images.idx"
-    lbl_path = tmp_path / "labels.idx"
-    img_path.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes())
-    lbl_path.write_bytes(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
-    return img_path, lbl_path
-
-
 def test_idx_roundtrip(tmp_path):
     images = np.arange(12, dtype=np.uint8).reshape(3, 2, 2)
     labels = np.array([0, 1, 2], dtype=np.uint8)
-    img, lbl = _write_idx_pair(tmp_path, images, labels)
+    img, lbl = write_idx_pair(tmp_path, images, labels)
     ds = load_idx(img, lbl)
     assert len(ds) == 3
     assert ds.dim == 4
@@ -247,7 +239,7 @@ def test_idx_roundtrip(tmp_path):
 def test_idx_scales_pixels_to_unit_interval(tmp_path):
     images = np.full((1, 2, 2), 255, dtype=np.uint8)
     labels = np.array([0], dtype=np.uint8)
-    img, lbl = _write_idx_pair(tmp_path, images, labels)
+    img, lbl = write_idx_pair(tmp_path, images, labels)
     ds = load_idx(img, lbl, num_classes=2)
     assert (ds.features == 1.0).all()
 
@@ -255,7 +247,7 @@ def test_idx_scales_pixels_to_unit_interval(tmp_path):
 def test_idx_count_mismatch_rejected(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     labels = np.array([0, 1], dtype=np.uint8)
-    img, lbl = _write_idx_pair(tmp_path, images, labels)
+    img, lbl = write_idx_pair(tmp_path, images, labels)
     with pytest.raises(IdxParseError):
         load_idx(img, lbl)
 
@@ -263,7 +255,7 @@ def test_idx_count_mismatch_rejected(tmp_path):
 def test_idx_empty_without_num_classes_rejected(tmp_path):
     images = np.zeros((0, 2, 2), dtype=np.uint8)
     labels = np.zeros(0, dtype=np.uint8)
-    img, lbl = _write_idx_pair(tmp_path, images, labels)
+    img, lbl = write_idx_pair(tmp_path, images, labels)
     with pytest.raises(IdxParseError, match=r"labels\.idx: no labels to infer the class count from"):
         load_idx(img, lbl)
     # Given the class count, zero images load as an empty dataset.

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmarket.data import gen_blobs
-from fedmarket.errors import ConfigError
 from fedmarket.market import (
     BID,
     BiddingHistory,
@@ -108,22 +107,22 @@ def test_random_partition_varies_with_seed():
     assert len(results) > 1
 
 
-def test_random_partition_rejects_indivisible():
-    with pytest.raises(ConfigError):
-        match_random_partition(np.full((2, 3), BID), seed=[0])
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     n_consumers=st.integers(1, 5),
-    per_dc=st.integers(0, 4),
+    n_owners=st.integers(0, 23),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_random_partition_counts_property(n_consumers, per_dc, seed):
-    m = match_random_partition(np.full((n_consumers, n_consumers * per_dc), BID), [seed])
-    assert set(m) == set(range(n_consumers * per_dc))
+def test_random_partition_counts_property(n_consumers, n_owners, seed):
+    # Owner counts that are no multiple of the consumer count deal the
+    # remainder one owner each to distinct consumers.
+    bids = np.full((n_consumers, n_owners), BID)
+    m = match_random_partition(bids, [seed])
+    assert set(m) == set(range(n_owners))
+    floor, ceil = n_owners // n_consumers, -(-n_owners // n_consumers)
     for cid in range(n_consumers):
-        assert sum(c == cid for c in m.values()) == per_dc
+        assert floor <= sum(c == cid for c in m.values()) <= ceil
+    assert match_random_partition(bids, [seed]) == m
 
 
 def test_random_partition_each_owner_once():

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmarket import nn
 from fedmarket.nn import (
     Mlp,
     adam_step,
+    backward,
     clone_model,
-    cross_entropy_grad,
     entropy,
     forward,
+    forward_cached,
     init_adam,
     init_mlp,
     replicate,
@@ -54,11 +56,15 @@ def test_softmax_masks_inactive_to_zero():
     p = softmax(np.array([1.0, 2.0, 3.0, 4.0]), index)
     assert np.array_equal(p, softmax(np.array([-7.0, 2.0, 3.0, 9.0]), index))
     assert abs(p.sum() - 1.0) < 1e-12
-    # a model's full-K distribution puts exactly zero mass on its inactive labels
+    # a model's loss reads only its active labels, so the output weights and
+    # biases of the inactive ones get exactly zero gradient
     m = init_mlp(4, [6], 4, {1, 2}, np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(3, 4))
-    _, dlogits = cross_entropy_grad(m, forward(m, x), np.array([1, 2, 1]))
-    assert (dlogits[:, [0, 3]] == 0.0).all()
+    logits, acts = forward_cached(m, x)
+    _, dz = nn.cross_entropy(softmax(logits, m.active_index), np.array([0, 1, 0]))
+    g = Mlp(m.dims, backward(m, acts, dz), m.active_labels)
+    assert (g.weights[-1][:, [0, 3]] == 0.0).all() and (g.biases[-1][[0, 3]] == 0.0).all()
+    assert (g.weights[-1][:, [1, 2]] != 0.0).any()
 
 
 def test_softmax_empty_mask_rejected():

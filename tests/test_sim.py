@@ -14,12 +14,14 @@ import pytest
 from fedmarket import cli, sim
 from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
 from fedmarket.cli import main as cli_main
+from fedmarket.data import gen_blobs
 from fedmarket.errors import ConfigError
 from fedmarket.market import BID
 from fedmarket.maxclique import WeightedGraph
 from fedmarket.nn import clone_model
 from fedmarket.sim import (
     AllianceRecord,
+    BlobSpec,
     MetricsTrace,
     PartitionSizes,
     RoundRow,
@@ -31,7 +33,7 @@ from fedmarket.sim import (
     recovered_gap_ratio,
     run_scenario,
 )
-from conftest import tiny_cfg
+from conftest import tiny_cfg, write_idx_pair
 from oracles import write_dimacs
 
 
@@ -113,12 +115,11 @@ def test_config_validation(tmp_path, capsys):
         match="config section 'partition': n_do=25 must divide into 4 equal owner groups",
     ):
         config_from_dict({"partition": {"n_do": 25}})
-    # 20 owners make groups of 5, and group 0's five cannot be split over 3.
+    # 20 owners make groups of 5, and the partition mechanism deals group 0's
+    # five over 3 consumers 2, 2 and 1, so every scenario loads.
     five_per_group = PartitionSizes(n_dc=3, n_do=20)
-    for scenario in ("restricted", "fedcdc"):
-        with pytest.raises(ConfigError, match="partition.n_do"):
-            ScenarioConfig(scenario=scenario, partition=five_per_group)
-    ScenarioConfig(scenario="unrestricted", partition=five_per_group)
+    for scenario in sim.SCENARIOS:
+        ScenarioConfig(scenario=scenario, partition=five_per_group)
     ScenarioConfig(
         scenario="restricted", mechanism="first_price", dc_budget=24.0, partition=five_per_group
     )
@@ -271,6 +272,24 @@ def test_fedcdc_forms_single_triple_alliance():
         for row in trace.rows:
             if row.round >= rec.created_round:
                 assert not (set(row.recruited) & shared)
+
+
+def test_fedcdc_nine_consumers_run_past_the_first_alliance_pass():
+    # The pass at round 2 picks four alliances, so four alliance rows share
+    # group 0's nine owners: the partition mechanism deals them 3, 2, 2, 2.
+    cfg = tiny_cfg(
+        "fedcdc",
+        seed=1,
+        rounds=4,
+        blobs=BlobSpec(dim=8, num_classes=20, per_class=200, spread=1.0),
+        partition=PartitionSizes(
+            n_dc=9, n_do=90, n_c=4, samples_per_do=10, samples_per_val=20, public_size=100
+        ),
+    )
+    trace = run_scenario(cfg)
+    participants = [rec.participants for rec in trace.alliances]
+    assert participants == [[0, 1], [2, 3], [4, 5], [6, 7, 8]]
+    assert {row.round for row in trace.rows} == set(range(4))
 
 
 def test_trace_has_one_row_per_round_and_dc():
@@ -511,6 +530,40 @@ def test_emit_matches_golden_digests(tmp_path, run):
     paths = emit_metrics(run_scenario(tiny_cfg(scenario, **overrides)), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == TINY_GOLDEN[run]
+
+
+# SHA-256 of the tiny runs' three output files when the data comes from IDX files.
+IDX_GOLDEN = {
+    "restricted": {
+        "accuracy.csv": "1c80e338117d703056bb7c805bd60e30d1f34bad385174d57698711cb2532c28",
+        "alliances.json": NO_ALLIANCES,
+        "summary.json": "167f13662b122ff643ae1174ced94725359cf4725fe9a71d6565c34cf958caf4",
+    },
+    "fedcdc": {
+        "accuracy.csv": "6cae57cc394cf5c97ea61d84aa1e0778dcdaf6372cc515481838b52be84f06ca",
+        "alliances.json": "ac3a4952d49aff7935d54dee927d9cd884f6359054997f7fb0b4c6e02fc2add0",
+        "summary.json": "9448fd4d06a8a0180644e25d7cabbaf12aad07df9da35a78b09d4e0b48c66091",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(IDX_GOLDEN))
+def test_idx_config_matches_golden_digests(tmp_path, scenario):
+    # A blobs draw on a 4x4 grid, quantised to uint8 pixels, stands in for an
+    # image dataset read through the config's idx section.
+    per_class, held_out = 250, 20
+    pool = gen_blobs(10, 16, per_class, 0.5, [0], held_out=held_out)
+    pixels = np.clip(np.rint((pool.features + 1.0) * 85.0), 0, 255).astype(np.uint8)
+    images, labels = pixels.reshape(-1, 4, 4), pool.labels.astype(np.uint8)
+    kept = 10 * per_class
+    doc = dataclasses.asdict(tiny_cfg(scenario))
+    doc["idx"] = {}
+    for split, rows in (("train", slice(None, kept)), ("test", slice(kept, None))):
+        img, lbl = write_idx_pair(tmp_path / split, images[rows], labels[rows])
+        doc["idx"].update({f"{split}_images": str(img), f"{split}_labels": str(lbl)})
+    paths = emit_metrics(run_scenario(config_from_dict(doc)), tmp_path / "out")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == IDX_GOLDEN[scenario]
 
 
 def test_emit_two_digit_consumer_ids(tmp_path):
