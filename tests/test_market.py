@@ -107,6 +107,20 @@ def test_random_partition_varies_with_seed():
     assert len(results) > 1
 
 
+def test_random_partition_deals_indivisible():
+    # Three owners over two bidders: one gets two, the other one, and which
+    # bidder takes the odd owner is drawn from the seed.
+    bids = np.full((2, 3), BID)
+    takers = set()
+    for s in range(10):
+        m = match_random_partition(bids, seed=[s])
+        assert set(m) == {0, 1, 2}
+        counts = [sum(c == cid for c in m.values()) for cid in (0, 1)]
+        assert sorted(counts) == [1, 2]
+        takers.add(counts.index(2))
+    assert takers == {0, 1}
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n_consumers=st.integers(1, 5),
