@@ -126,6 +126,25 @@ class PartitionSizes:
     def owners_per_group(self) -> int:
         return self.n_do // (self.n_dc + 1)
 
+    @property
+    def classes_needed(self) -> int:
+        return (self.n_dc + 1) * self.n_shared
+
+    def per_class_demand(self, num_classes: int) -> int:
+        """The most samples :func:`build_market_partition` can draw from one class.
+
+        Each shard is balanced within +-1 over its classes, so a class gives it
+        at most the rounded-up share. A shared class gives the most: to every
+        group-0 owner shard, every consumer's validation shard and the public
+        pool. The seed picks which classes are shared, so every class needs this
+        many samples for the partition to be drawn at any seed.
+        """
+        return (
+            self.owners_per_group * -(-self.samples_per_do // self.n_shared)
+            + self.n_dc * -(-self.samples_per_val // self.n_c)
+            + -(-self.public_size // num_classes)
+        )
+
 
 @dataclass(frozen=True)
 class MarketPartition:
@@ -196,10 +215,9 @@ def build_market_partition(
     Group-0 owners hold only shared classes; group-i owners hold only consumer
     i-1's unique classes. Every shard is class-balanced.
     """
-    need_classes = (sizes.n_dc + 1) * sizes.n_shared
-    if base.num_classes < need_classes:
+    if base.num_classes < sizes.classes_needed:
         raise ConfigError(
-            f"base dataset has {base.num_classes} classes, construction needs {need_classes}"
+            f"base dataset has {base.num_classes} classes, construction needs {sizes.classes_needed}"
         )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(base.num_classes)

@@ -59,42 +59,33 @@ def fedavg_aggregate(local_models: list[tuple[Mlp, int]]) -> Mlp:
 
 def local_train(
     model: Mlp,
-    shard: LabeledDataset,
-    epochs: int,
-    batch_size: int,
-    lr: float,
-    rng: np.random.Generator,
-) -> Mlp:
-    """Train a fresh copy of ``model`` on one owner's shard."""
-    return lockstep_train(model, [shard], epochs, batch_size, lr, [rng])[0]
-
-
-def lockstep_train(
-    model: Mlp,
     shards: list[LabeledDataset],
     epochs: int,
     batch_size: int,
     lr: float,
     rngs: list[np.random.Generator],
 ) -> list[Mlp]:
-    """Train one fresh copy of ``model`` per shard, all copies in lockstep.
+    """Train one fresh copy of ``model`` per shard; return them in shard order.
 
-    The shards must be of one size. The copies form one stack, so each batch
-    is one :func:`train_step` over all of them. Copy i draws its per-epoch
-    permutation from ``rngs[i]``, so its batches, and its parameters bit for
-    bit, are those of training it alone.
+    Shards of one size train as one stack, so each batch is one
+    :func:`train_step` over all of them; the groups run in first-seen order.
+    Copy i draws its per-epoch permutation from ``rngs[i]``, so its batches,
+    and its parameters bit for bit, are those of training it alone.
     """
-    n = len(shards[0])
-    if any(len(s) != n for s in shards):
-        raise ValueError("lockstep training needs shards of one size")
-    stack = replicate(model, len(shards))
-    opt = init_adam(stack.flat, lr=lr)
-    features = np.stack([s.features for s in shards])
-    labels = np.stack([s.labels for s in shards])
-    rows = np.arange(len(shards))[:, None]
-    for sel in batch_schedule(n, epochs, batch_size, rngs):
-        train_step(stack, opt, features[rows, sel], labels[rows, sel])
-    return unstack(stack)
+    by_size: dict[int, list[int]] = {}
+    for i, shard in enumerate(shards):
+        by_size.setdefault(len(shard), []).append(i)
+    trained: dict[int, Mlp] = {}
+    for n, group in by_size.items():
+        stack = replicate(model, len(group))
+        opt = init_adam(stack.flat, lr=lr)
+        features = np.stack([shards[i].features for i in group])
+        labels = np.stack([shards[i].labels for i in group])
+        rows = np.arange(len(group))[:, None]
+        for sel in batch_schedule(n, epochs, batch_size, [rngs[i] for i in group]):
+            train_step(stack, opt, features[rows, sel], labels[rows, sel])
+        trained.update(zip(group, unstack(stack)))
+    return [trained[i] for i in range(len(shards))]
 
 
 def feddf_round(
@@ -119,8 +110,8 @@ def run_fl_round(
 ) -> Mlp:
     """One FL round: broadcast, local training on every owner, aggregate.
 
-    Owners with equal shard sizes train in lockstep (:func:`lockstep_train`);
-    the trained models are aggregated in owner-id order.
+    The owners train in one :func:`local_train` call and are aggregated in
+    owner-id order.
 
     Trains ``model`` (default: the consumer's global model). An empty owner
     list is a starvation event: logged, model returned unchanged.
@@ -130,22 +121,11 @@ def run_fl_round(
         log.warning("consumer %d recruited no owners this round (starved)", consumer.id)
         return start
     ordered = sorted(owners, key=lambda o: o.id)
-    child_rngs = rng.spawn(len(ordered))
-    by_size: dict[int, list[int]] = {}
-    for k, owner in enumerate(ordered):
-        by_size.setdefault(len(owner.train_shard), []).append(k)
-    local: dict[int, Mlp] = {}
-    for group in by_size.values():
-        models = lockstep_train(
-            start,
-            [ordered[k].train_shard for k in group],
-            cfg.local_epochs,
-            cfg.batch_size,
-            cfg.lr,
-            [child_rngs[k] for k in group],
-        )
-        local.update(zip(group, models))
-    trained = [(local[k], len(o.train_shard)) for k, o in enumerate(ordered)]
+    shards = [o.train_shard for o in ordered]
+    models = local_train(
+        start, shards, cfg.local_epochs, cfg.batch_size, cfg.lr, rng.spawn(len(ordered))
+    )
+    trained = [(m, len(s)) for m, s in zip(models, shards)]
     if cfg.method == "feddf":
         if public is None:
             raise ValueError("feddf aggregation needs the public set")

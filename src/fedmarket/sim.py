@@ -148,6 +148,18 @@ class ScenarioConfig:
             raise ConfigError(
                 f"partition.public_size={sizes.public_size} leaves no public data to distil on"
             )
+        if self.idx is None:  # an idx dataset's class counts are checked once read
+            b = self.blobs
+            if b.num_classes < sizes.classes_needed:
+                raise ConfigError(
+                    f"blobs.num_classes={b.num_classes} is below the {sizes.classes_needed} "
+                    f"classes the partition's {sizes.n_dc + 1} owner groups hold"
+                )
+            if b.per_class < (need := sizes.per_class_demand(b.num_classes)):
+                raise ConfigError(
+                    f"blobs.per_class={b.per_class} is below {need}, the most samples "
+                    f"the partition can draw from one class"
+                )
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -410,14 +422,23 @@ class _Market:
 
 
 def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    sizes = cfg.partition
+    # the most a consumer's test shard takes from one of its n_c classes
+    test_per_class = -(-cfg.samples_per_test // sizes.n_c)
     if cfg.idx is not None:
         base = load_idx(cfg.idx.train_images, cfg.idx.train_labels)
         test = load_idx(cfg.idx.test_images, cfg.idx.test_labels, base.num_classes)
+        if base.num_classes < sizes.classes_needed:
+            raise ConfigError(
+                f"idx.train_labels: {base.num_classes} classes, below the "
+                f"{sizes.classes_needed} the partition's owner groups hold"
+            )
+        _check_class_counts(base, sizes.per_class_demand(base.num_classes), "idx.train_labels")
+        _check_class_counts(test, test_per_class, "idx.test_labels")
         return base, test
     b = cfg.blobs
     # Train and held-out test samples come from one draw per class, so both
     # pools share the class means; they are views of one generated array.
-    test_per_class = -(-cfg.samples_per_test // cfg.partition.n_c)
     pool = gen_blobs(
         b.num_classes,
         b.dim,
@@ -431,6 +452,17 @@ def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
         LabeledDataset(pool.features[:kept], pool.labels[:kept], b.num_classes),
         LabeledDataset(pool.features[kept:], pool.labels[kept:], b.num_classes),
     )
+
+
+def _check_class_counts(data: LabeledDataset, need: int, key: str) -> None:
+    """Every class of ``data`` holds ``need`` samples, or a ConfigError names ``key``."""
+    counts = np.bincount(data.labels, minlength=data.num_classes)
+    if (short := np.flatnonzero(counts < need)).size:
+        c = int(short[0])
+        raise ConfigError(
+            f"{key}: class {c} has {counts[c]} samples, below the {need} "
+            f"the scenario can draw from one class"
+        )
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsTrace:

@@ -2,7 +2,8 @@
 
 The scenario experiments (criteria 1, 2, 8) run the full default desk-scale
 configuration: 3 consumers, 24 owners, 4 classes of interest, 50 rounds.
-They are the slow part of the suite; run with ``pytest tests/test_acceptance.py -v -s``.
+They are the slow part of the suite, marked ``slow``; run with
+``pytest tests/test_acceptance.py -v -s``.
 """
 import hashlib
 import math
@@ -52,6 +53,7 @@ def scenario_finals():
         return dict(pool.map(_final, jobs))
 
 
+@pytest.mark.slow
 def test_criterion_1_fedcdc_recovers_restriction_gap(scenario_finals):
     mean = {
         scenario: float(np.mean([scenario_finals[(scenario, s)].mean for s in SEEDS]))
@@ -68,6 +70,7 @@ def test_criterion_1_fedcdc_recovers_restriction_gap(scenario_finals):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_restriction_hurts(scenario_finals):
     holds = [
         scenario_finals[("unrestricted", s)].mean >= scenario_finals[("restricted", s)].mean + POINTS
@@ -84,6 +87,7 @@ def test_criterion_2_restriction_hurts(scenario_finals):
     print(f"PASS criterion 2: unrestricted >= restricted + 0.05 on {sum(holds)}/3 seeds {per_seed}")
 
 
+@pytest.mark.slow
 def test_every_participant_gains_and_every_consumer_loses(scenario_finals):
     # The paper claims gains for all participating consumers, which the means
     # of criteria 1-2 cannot show: one consumer could lose unnoticed.
@@ -219,6 +223,7 @@ def _cli_run_default(out_dir):
     return out_dir
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism_byte_identical(tmp_path):
     import json
 

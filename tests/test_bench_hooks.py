@@ -46,7 +46,7 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     # the round probe also needs exactly one default_bids call per round.
     # The distill hooks are the teacher forwards and the student's Adam, which
     # the tiny fedcdc run reaches through distill_train; the fed and nn hooks
-    # are local training's steps and Adam, and FedAvg; the alliances hooks are
+    # are local training, its steps and Adam, and FedAvg; the alliances hooks are
     # the stages of the alliance pass that sim.create_alliances runs.
     workloads = _load_workloads()
     hooks = {
@@ -55,9 +55,6 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
         if module in (sim, distill, fed, nn, alliances)
     }
     hooks |= {(module, attr) for module, attr, _ in workloads._SimProbe().targets() if module is sim}
-    # run_fl_round trains through lockstep_train, so the benchmark's
-    # fed.local_train hook reads 0 (an open FOUND in CHANGES.md).
-    hooks.discard((fed, "local_train"))
     # sim calls its own imported create_alliances; only the alliance-pass
     # workload looks it up in alliances.
     hooks.discard((alliances, "create_alliances"))
@@ -70,6 +67,8 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "fedmarket.sim.run_fl_round" and args[1]:
+                calls["rounds with owners"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -82,3 +81,5 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     names = sorted(f"{module.__name__}.{attr}" for module, attr in hooks)
     assert [name for name in names if not calls[name]] == []
     assert calls["fedmarket.sim.default_bids"] == cfg.rounds
+    # local training is one fed.local_train call per round that recruited owners
+    assert calls["fedmarket.fed.local_train"] == calls["rounds with owners"] > 0

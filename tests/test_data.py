@@ -210,6 +210,37 @@ def test_partition_needs_enough_classes():
         build_market_partition(spec, base, 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_dc=st.integers(1, 4),
+    owners_per_group=st.integers(1, 3),
+    n_shared=st.integers(1, 2),
+    samples_per_do=st.integers(1, 9),
+    samples_per_val=st.integers(1, 9),
+    public_size=st.integers(0, 30),
+    spare_classes=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_per_class_demand_bounds_every_class_draw(
+    n_dc, owners_per_group, n_shared, samples_per_do, samples_per_val, public_size, spare_classes, seed
+):
+    sizes = PartitionSizes(
+        n_dc, owners_per_group * (n_dc + 1), 2 * n_shared, samples_per_do, samples_per_val, public_size
+    )
+    k = sizes.classes_needed + spare_classes
+    need = sizes.per_class_demand(k)
+    # row i's feature is i, so every drawn row, public ones too, names its class
+    labels = np.repeat(np.arange(k), need)
+    base = LabeledDataset(np.arange(len(labels), dtype=float)[:, None], labels, k)
+    part = build_market_partition(sizes, base, seed)
+    rows = [s.features for s in part.do_shards + part.dc_val_shards] + [part.public.features]
+    drawn = np.bincount(labels[np.concatenate(rows)[:, 0].astype(int)], minlength=k)
+    # each shared class gives every group-0 owner, validation and public shard
+    # its rounded-up share or one less
+    shards = owners_per_group + n_dc + (public_size > 0)
+    assert need - shards <= drawn.max() <= need
+
+
 def test_take_class_balanced():
     base = gen_blobs(6, 4, 50, 1.0, 7)
     shard = take_class_balanced(base, {1, 4}, 20, 0)

@@ -469,7 +469,7 @@ def test_inactive_outputs_take_no_part():
     assert not np.array_equal(_inactive_part(base), _inactive_part(noised))
     assert np.array_equal(_active_part(base), _active_part(noised))
 
-    # Local training, on one-model stacks as lockstep training runs it.
+    # Local training, on one-model stacks as fed.local_train runs it.
     trained = []
     for model in (base, noised):
         stack = replicate(model, 1)

@@ -116,10 +116,26 @@ def test_single_owner_round_equals_local_training():
     consumer = _consumer(model, ds)
     cfg = FLRoundConfig(local_epochs=2, batch_size=16)
     out = run_fl_round(consumer, [owner], cfg, np.random.default_rng(42))
-    manual = local_train(
-        model, ds, 2, 16, cfg.lr, np.random.default_rng(42).spawn(1)[0]
-    )
+    [manual] = local_train(model, [ds], 2, 16, cfg.lr, np.random.default_rng(42).spawn(1))
     assert np.array_equal(out.flat, manual.flat)
+
+
+def test_local_train_keeps_shard_order_and_solo_bits():
+    ds = gen_blobs(3, 5, 40, 1.0, 33)
+    # sizes 32, 23, 32 with batch 16: the two 32-row shards form one stack
+    # around the 23-row one, whose last batch is short
+    cuts = [0, 32, 55, 87]
+    shards = [
+        LabeledDataset(ds.features[a:b], ds.labels[a:b], 3) for a, b in zip(cuts, cuts[1:])
+    ]
+    model = model_with(34, dims=(5, 7, 3))
+    models = local_train(model, shards, 2, 16, 0.001, np.random.default_rng(35).spawn(3))
+    assert len(models) == len(shards)
+    for shard, rng, trained in zip(shards, np.random.default_rng(35).spawn(3), models):
+        [alone] = local_train(model, [shard], 2, 16, 0.001, [rng])
+        assert np.array_equal(trained.flat, alone.flat)
+        assert not np.array_equal(trained.flat, model.flat)
+    assert not np.array_equal(models[0].flat, models[2].flat)
 
 
 def _sequential_round(model, owners, cfg, rng):
@@ -239,7 +255,7 @@ def test_feddf_duplicate_teachers_match_single():
     ds = gen_blobs(3, 4, 60, 1.0, 12)
     pub = UnlabeledDataset(ds.features)
     g = model_with(13)
-    local = local_train(g, ds, 1, 16, 0.001, np.random.default_rng(14))
+    [local] = local_train(g, [ds], 1, 16, 0.001, [np.random.default_rng(14)])
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=2, batch_size=16)
     one = feddf_round([(local, 10)], pub, cfg, np.random.default_rng(15))
     two = feddf_round([(local, 10), (clone_model(local), 10)], pub, cfg, np.random.default_rng(15))
@@ -258,10 +274,9 @@ def test_feddf_distillation_reduces_loss():
     g = model_with(17, dims=(6, 8, 3))
     # one class per owner: the drifted locals' average differs from their ensemble
     owners = _split_owners(train, 3)
-    locals_ = [
-        (local_train(g, o.train_shard, 10, 32, 0.005, np.random.default_rng(18 + i)), len(o.train_shard))
-        for i, o in enumerate(owners)
-    ]
+    shards = [o.train_shard for o in owners]
+    rngs = [np.random.default_rng(18 + i) for i in range(len(shards))]
+    locals_ = [(m, len(s)) for m, s in zip(local_train(g, shards, 10, 32, 0.005, rngs), shards)]
     student0 = fedavg_aggregate(locals_)
     before = feddf_loss(student0, [m for m, _ in locals_], pub, alpha=1.0)
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=5, batch_size=32)

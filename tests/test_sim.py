@@ -14,7 +14,7 @@ import pytest
 from fedmarket import cli, sim
 from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
 from fedmarket.cli import main as cli_main
-from fedmarket.data import gen_blobs
+from fedmarket.data import build_market_partition, gen_blobs
 from fedmarket.errors import ConfigError
 from fedmarket.market import BID
 from fedmarket.maxclique import WeightedGraph
@@ -151,6 +151,9 @@ def test_config_validation(tmp_path, capsys):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
     # Counts and sizes that fail only mid-run are rejected at load, naming the key.
+    nine_consumers = {
+        "n_dc": 9, "n_do": 90, "n_c": 4, "samples_per_do": 10, "samples_per_val": 20, "public_size": 100
+    }
     for doc, key in [
         ({"min_shared_owners": 0}, "min_shared_owners must be >= 1, got 0"),
         ({"hidden_dims": [0]}, r"hidden_dims\[0\] must be >= 1, got 0"),
@@ -179,11 +182,24 @@ def test_config_validation(tmp_path, capsys):
         ({"partition": {"public_size": 0}}, "partition.public_size=0"),
         ({"scenario": "restricted", "fl": {"method": "feddf"}, "partition": {"public_size": 0}},
          "partition.public_size=0"),
+        # blobs too few or too small for the partition, which fail only in set-up:
+        # 9 consumers' group-0 owners and validation shards take 45 + 45 samples
+        # of a shared class, and the public pool 5 of every class
+        ({"blobs": {"dim": 8, "num_classes": 20, "per_class": 60}, "partition": nine_consumers},
+         "blobs.per_class=60 is below 95, the most samples"),
+        ({"blobs": {"num_classes": 7}}, "blobs.num_classes=7 is below the 8 classes"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
+    config_from_dict({"blobs": {"dim": 8, "num_classes": 20, "per_class": 95}, "partition": nine_consumers})
     ScenarioConfig(min_shared_owners=1, hidden_dims=[1], samples_per_test=1)
-    config_from_dict({"blobs": {"dim": 2, "num_classes": 4, "per_class": 1, "spread": 0}})
+    BlobSpec(dim=2, num_classes=4, per_class=1, spread=0)
+    # the smallest blobs a one-consumer partition can draw: 2 classes, 2 samples each
+    smallest = {"n_dc": 1, "n_do": 2, "n_c": 2, "samples_per_do": 1, "samples_per_val": 1, "public_size": 0}
+    doc = {"scenario": "restricted", "partition": smallest}
+    config_from_dict({**doc, "blobs": {"dim": 2, "num_classes": 4, "per_class": 2, "spread": 0}})
+    with pytest.raises(ConfigError, match="blobs.per_class=1 is below 2"):
+        config_from_dict({**doc, "blobs": {"dim": 2, "num_classes": 4, "per_class": 1, "spread": 0}})
     config_from_dict({"blobs": {"dim": 63}})
     for scenario in ("restricted", "unrestricted"):  # FedAvg distils nothing
         config_from_dict({"scenario": scenario, "partition": {"public_size": 0}})
@@ -215,13 +231,14 @@ def test_config_validation(tmp_path, capsys):
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
     # An alliance pass enumerates every consumer subset, so fedcdc is guarded
     # at the consumer count the pass was measured for. n consumers need n + 1
-    # owner groups, and group 0's owners split evenly over them.
+    # owner groups, and 2 (n + 1) classes with enough samples to fill them.
     n = MAX_ENUMERABLE_CONSUMERS
-    ScenarioConfig(partition=PartitionSizes(n_dc=n, n_do=(n + 1) * n))
+    blobs = BlobSpec(num_classes=2 * (n + 2), per_class=20_000)
+    ScenarioConfig(blobs=blobs, partition=PartitionSizes(n_dc=n, n_do=(n + 1) * n))
     over = PartitionSizes(n_dc=n + 1, n_do=(n + 2) * (n + 1))
     with pytest.raises(ConfigError, match="partition.n_dc"):
-        ScenarioConfig(partition=over)
-    ScenarioConfig(scenario="restricted", partition=over)
+        ScenarioConfig(blobs=blobs, partition=over)
+    ScenarioConfig(scenario="restricted", blobs=blobs, partition=over)
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
@@ -564,6 +581,35 @@ def test_idx_config_matches_golden_digests(tmp_path, scenario):
     paths = emit_metrics(run_scenario(config_from_dict(doc)), tmp_path / "out")
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == IDX_GOLDEN[scenario]
+
+
+def test_idx_class_counts_fail_as_soon_as_read(tmp_path):
+    # tiny_cfg's partition may draw 230 samples from any one class, and its
+    # consumers' test shards 20; one sample fewer fails before the partition.
+    def idx_doc(train_per_class, test_per_class):
+        doc = dataclasses.asdict(tiny_cfg("restricted"))
+        doc["idx"] = {}
+        for split, counts in (("train", train_per_class), ("test", test_per_class)):
+            labels = np.repeat(np.arange(10), counts).astype(np.uint8)
+            images = np.zeros((len(labels), 4, 4), dtype=np.uint8)
+            img, lbl = write_idx_pair(tmp_path / split, images, labels)
+            doc["idx"].update({f"{split}_images": str(img), f"{split}_labels": str(lbl)})
+        return config_from_dict(doc)
+
+    short = [230] * 10
+    short[3] = 229
+    cfg = idx_doc(short, 20)
+    with pytest.raises(ConfigError, match="idx.train_labels: class 3 has 229 samples, below the 230"):
+        sim._load_data(cfg)
+    cfg = idx_doc(230, [20] * 9 + [19])
+    with pytest.raises(ConfigError, match="idx.test_labels: class 9 has 19 samples, below the 20"):
+        sim._load_data(cfg)
+    cfg = idx_doc(230, 20)
+    base, test = sim._load_data(cfg)
+    build_market_partition(cfg.partition, base, cfg.seed)
+    cfg.partition = dataclasses.replace(cfg.partition, n_dc=5, n_do=36)  # 6 groups of 2 classes
+    with pytest.raises(ConfigError, match="idx.train_labels: 10 classes, below the 12"):
+        sim._load_data(cfg)
 
 
 def test_emit_two_digit_consumer_ids(tmp_path):
