@@ -1,17 +1,14 @@
 """Federated training rounds: local training, FedAvg/FedDF aggregation, evaluation."""
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
 from .distill import DistillConfig, distill_train, uniform_weights
-from .market import DataConsumer, DataOwner
+from .market import DataOwner
 from .nn import Mlp, batch_schedule, forward, init_adam, replicate, train_step, unstack
-
-log = logging.getLogger(__name__)
 
 # FedDF distills on the soft loss only (uniform teacher averaging).
 FEDDF_ALPHA = 1.0
@@ -101,24 +98,18 @@ def feddf_round(
 
 
 def run_fl_round(
-    consumer: DataConsumer,
+    start: Mlp,
     owners: list[DataOwner],
     cfg: FLRoundConfig,
     rng: np.random.Generator,
     public: UnlabeledDataset | None = None,
-    model: Mlp | None = None,
 ) -> Mlp:
-    """One FL round: broadcast, local training on every owner, aggregate.
+    """One FL round from ``start``: broadcast, local training on every owner, aggregate.
 
     The owners train in one :func:`local_train` call and are aggregated in
-    owner-id order.
-
-    Trains ``model`` (default: the consumer's global model). An empty owner
-    list is a starvation event: logged, model returned unchanged.
+    owner-id order. With no owners, ``start`` is returned unchanged.
     """
-    start = model if model is not None else consumer.model
     if not owners:
-        log.warning("consumer %d recruited no owners this round (starved)", consumer.id)
         return start
     ordered = sorted(owners, key=lambda o: o.id)
     shards = [o.train_shard for o in ordered]

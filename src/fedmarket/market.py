@@ -36,8 +36,7 @@ class DataConsumer:
     Synthetic consumers embody alliances: they bid and train like real ones
     but never join alliances and their bids are not recorded in history.
     Only real consumers are evaluated, so an alliance's consumer holds no
-    validation shard (``None``). ``expert`` is the model a real consumer keeps
-    training on its non-alliance owners once it participates in one.
+    validation shard (``None``).
     """
 
     id: int
@@ -46,7 +45,6 @@ class DataConsumer:
     validation_shard: LabeledDataset | None
     budget: float = 0.0
     is_synthetic: bool = False
-    expert: Mlp | None = None
 
     def __post_init__(self) -> None:
         if not self.label_set:

@@ -138,6 +138,11 @@ class ScenarioConfig:
                 f"{2 * self.budget_share}, below the first_price bid of {BID}, "
                 f"so its synthetic consumer could never win an owner"
             )
+        if self.scenario == "fedcdc" and self.budget_share > self.dc_budget:
+            raise ConfigError(
+                f"budget_share={self.budget_share} exceeds dc_budget={self.dc_budget}: "
+                f"no participant could pay its share, so no alliance would ever form"
+            )
         if self.scenario == "fedcdc" and self.partition.n_dc > MAX_ENUMERABLE_CONSUMERS:
             raise ConfigError(
                 f"partition.n_dc={self.partition.n_dc} exceeds the alliance "
@@ -265,10 +270,11 @@ class MetricsTrace:
 class _Market:
     """Mutable market state for one scenario run, and the phases of its rounds.
 
-    A consumer participates in alliances once ``expert`` is set: from its
-    first alliance on, it trains ``expert`` on its own owners and distils the
-    alliances' models and ``expert`` into ``model``. Alliance ``k``'s synthetic
-    consumer has id ``len(consumers) + k``, so consumer ids are bid-matrix rows.
+    A consumer participates in alliances once ``experts`` holds its expert:
+    from its first alliance on, it trains the expert on its own owners and
+    distils the alliances' models and the expert into its global model.
+    Alliance ``k``'s synthetic consumer has id ``len(consumers) + k``, so
+    consumer ids are bid-matrix rows.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -300,6 +306,7 @@ class _Market:
             )
         self.history = BiddingHistory(cfg.history_span, len(self.consumers), len(self.owners))
         self.alliances: list[Alliance] = []
+        self.experts: dict[int, Mlp] = {}  # participant id -> expert
         self.next_uid = 0
         self.recruit: dict[int, list[int]] = {}  # consumer id -> owner ids, per matching
         self.rows: list[RoundRow] = []
@@ -337,9 +344,8 @@ class _Market:
         self.alliances += created
         for a in created:
             for pid in a.candidate.participants:
-                dc = self.consumers[pid]
-                if dc.expert is None:
-                    dc.expert = clone_model(dc.model)
+                if pid not in self.experts:
+                    self.experts[pid] = clone_model(self.consumers[pid].model)
         return bool(created)
 
     def bid_and_match(self, r: int, census_changed: bool) -> None:
@@ -379,35 +385,34 @@ class _Market:
         """
         cfg = self.cfg
         for consumer in self.all_consumers():
-            recruited = [self.owners[o] for o in self.recruit.get(consumer.id, [])]
-            rng = np.random.default_rng([cfg.seed, _S_TRAINING, consumer.id, r])
+            cid = consumer.id
+            recruited = [self.owners[o] for o in self.recruit.get(cid, [])]
+            if not recruited:
+                log.warning("round %d: consumer %d recruited no owners (starved)", r, cid)
+            rng = np.random.default_rng([cfg.seed, _S_TRAINING, cid, r])
             trained = run_fl_round(
-                consumer, recruited, cfg.fl, rng, self.public, model=consumer.expert
+                self.experts.get(cid, consumer.model), recruited, cfg.fl, rng, self.public
             )
-            if consumer.expert is None:
-                consumer.model = trained
+            if cid in self.experts:
+                self.experts[cid] = trained
             else:
-                consumer.expert = trained
-            _check_finite(trained, r, consumer.id, "local training")
+                consumer.model = trained
+            _check_finite(trained, r, cid, "local training")
 
     def distill(self, r: int) -> None:
         """Distillation: each participant distils its alliances' models and its
         expert into its global model, in place."""
         cfg = self.cfg
-        for consumer in self.consumers:
-            if consumer.expert is None:
-                continue
-            teachers = [
-                a.consumer.model for a in self.alliances if consumer.id in a.candidate.participants
-            ]
+        for pid, expert in sorted(self.experts.items()):
+            teachers = [a.consumer.model for a in self.alliances if pid in a.candidate.participants]
             student = distill_train(
-                consumer.model,
-                [*teachers, consumer.expert],
+                self.consumers[pid].model,
+                [*teachers, expert],
                 self.public,
                 cfg.distill,
-                np.random.default_rng([cfg.seed, _S_DISTILL, consumer.id, r]),
+                np.random.default_rng([cfg.seed, _S_DISTILL, pid, r]),
             )
-            _check_finite(student, r, consumer.id, "distillation")
+            _check_finite(student, r, pid, "distillation")
 
     def evaluate_round(self, r: int) -> None:
         """Evaluation of every real consumer's global model on its validation

@@ -33,6 +33,17 @@ def tiny_cfg(scenario="restricted", **overrides):
     return ScenarioConfig(**base)
 
 
+# The tiny runs by name: a scenario and its tiny_cfg overrides.
+FIRST_PRICE = dict(mechanism="first_price", dc_budget=24.0)
+TINY_RUNS = {
+    "restricted": ("restricted", {}),
+    "fedcdc": ("fedcdc", {}),
+    "unrestricted": ("unrestricted", {}),
+    "restricted-first_price": ("restricted", FIRST_PRICE),
+    "fedcdc-first_price": ("fedcdc", {**FIRST_PRICE, "budget_share": 0.5}),
+}
+
+
 def write_idx_pair(directory, images, labels):
     """Write ``(n, rows, cols)`` uint8 ``images`` and their ``labels`` as IDX files."""
     directory.mkdir(parents=True, exist_ok=True)

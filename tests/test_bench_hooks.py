@@ -9,8 +9,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from fedmarket import alliances, distill, fed, nn, sim
-from conftest import tiny_cfg
+from conftest import TINY_RUNS, tiny_cfg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,3 +86,35 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     assert calls["fedmarket.sim.default_bids"] == cfg.rounds
     # local training is one fed.local_train call per round that recruited owners
     assert calls["fedmarket.fed.local_train"] == calls["rounds with owners"] > 0
+
+
+@pytest.mark.parametrize("run", ["restricted", "fedcdc", "fedcdc-first_price"])
+def test_benchmark_work_counts_match_the_rows_stepped(monkeypatch, run):
+    # The probe counts work per sim call: owner sample-epochs per run_fl_round
+    # and public sample-epochs per distill_train. The library steps those rows
+    # in fed's train_step calls (rows x stack size) and in the student's
+    # forwards in distill; a call shape the probe miscounts, such as one
+    # distill_train call stepping several students, makes the sums differ.
+    workloads = _load_workloads()
+    probe = workloads._SimProbe()
+    stepped = Counter()
+
+    def rows_stepped(key, fn, batch_at):
+        def wrapper(*args, **kwargs):
+            stepped[key] += int(np.prod(np.shape(args[batch_at])[:-1]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fed, "train_step", rows_stepped("fed.local_samples", fed.train_step, 2))
+    monkeypatch.setattr(
+        distill, "forward_cached", rows_stepped("distill.student_rows", distill.forward_cached, 1)
+    )
+    for module, attr, wrap in probe.targets():
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    scenario, overrides = TINY_RUNS[run]
+    sim.run_scenario(tiny_cfg(scenario, **overrides))
+    for key in ("fed.local_samples", "distill.student_rows"):
+        assert probe.counts[key] == stepped[key], key
+    assert stepped["fed.local_samples"] > 0
+    assert (stepped["distill.student_rows"] > 0) == (scenario == "fedcdc")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from fedmarket.sim import (
     recovered_gap_ratio,
     run_scenario,
 )
-from conftest import tiny_cfg, write_idx_pair
+from conftest import TINY_RUNS, tiny_cfg, write_idx_pair
 from oracles import write_dimacs
 
 
@@ -104,6 +105,19 @@ def test_config_validation(tmp_path, capsys):
         ScenarioConfig(mechanism="first_price", dc_budget=24.0, budget_share=0.4)
     ScenarioConfig(mechanism="first_price", dc_budget=24.0, budget_share=0.5)
     ScenarioConfig(scenario="restricted", mechanism="first_price", dc_budget=24.0)
+    # Each participant pays budget_share out of its dc_budget, so a larger
+    # share skips every alliance and the fedcdc run equals restricted.
+    for overrides, message in [
+        ({"budget_share": 0.5}, "budget_share=0.5 exceeds dc_budget=0.0"),
+        ({"mechanism": "first_price", "dc_budget": 1.0, "budget_share": 2.0},
+         "budget_share=2.0 exceeds dc_budget=1.0"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            tiny_cfg("fedcdc", **overrides)
+        for scenario in ("restricted", "unrestricted"):
+            tiny_cfg(scenario, **overrides)
+    tiny_cfg("fedcdc", budget_share=0.5, dc_budget=0.5)
+    tiny_cfg("fedcdc", mechanism="first_price", dc_budget=1.0, budget_share=1.0)
     # Bids from before round 4's alliance would still be in the window at
     # round 6 and propose a stale sub-coalition.
     with pytest.raises(ConfigError, match="history_span"):
@@ -341,28 +355,31 @@ def _phase_calls(monkeypatch, cfg, policy=default_policy):
     Also returns, per round, the ids of the consumers whose global model was
     distilled, and the first synthetic consumer id each alliance pass was
     given. The round starts at sim's one ``default_bids`` call, and a
-    distilled model is known by the consumer ``run_fl_round`` last saw holding
-    it. ``policy`` answers every alliance offer. Every owner a mechanism
-    assigns must have had a positive bid from its recruiter in the matrix the
-    mechanism was handed.
+    distilled model is known by the consumer holding it among those the
+    alliance pass was handed. ``policy`` answers every alliance offer. Every
+    owner a mechanism assigns must have had a positive bid from its recruiter
+    in the matrix the mechanism was handed.
     """
     calls: Counter = Counter()
     distilled: list[list[int]] = []
-    holders: dict[int, tuple] = {}
+    consumers: list = []
+    participants: set[int] = set()
     id_starts: list[int] = []
 
     def start_round(*args):
         distilled.append([])
 
-    def see_consumer(consumer, *args, **kwargs):
-        holders[id(consumer.model)] = (consumer.model, consumer)
+    def see_consumers(real, *args, **kwargs):
+        consumers[:] = real
 
     def see_student(student, *args):
-        model, consumer = holders[id(student)]
-        assert model is student and consumer.expert is not None
+        [consumer] = [c for c in consumers if c.model is student]
+        assert consumer.id in participants
         distilled[-1].append(consumer.id)
 
-    hooks = {"default_bids": start_round, "run_fl_round": see_consumer, "distill_train": see_student}
+    hooks = {
+        "default_bids": start_round, "create_alliances": see_consumers, "distill_train": see_student
+    }
     for name in ("default_bids", "create_alliances", "distill_train", "run_fl_round",
                  "match_random_partition", "match_first_price"):
         def wrapper(*args, _name=name, _fn=getattr(sim, name), **kwargs):
@@ -374,6 +391,8 @@ def _phase_calls(monkeypatch, cfg, policy=default_policy):
             out = _fn(*args, **kwargs)
             if _name.startswith("match_"):
                 assert out and all(args[0][cid, oid] > 0 for oid, cid in out.items())
+            if _name == "create_alliances":
+                participants.update(p for a in out[0] for p in a.candidate.participants)
             return out
 
         monkeypatch.setattr(sim, name, wrapper)
@@ -503,14 +522,6 @@ def test_emit_byte_identical_across_runs(tmp_path):
 # SHA-256 of the three output files of the tiny scenarios. They pin the
 # numbers, not only run-to-run determinism: a change that moves any output
 # bit must re-baseline these and say why in CHANGES.md.
-FIRST_PRICE = dict(mechanism="first_price", dc_budget=24.0)
-TINY_RUNS = {
-    "restricted": ("restricted", {}),
-    "fedcdc": ("fedcdc", {}),
-    "unrestricted": ("unrestricted", {}),
-    "restricted-first_price": ("restricted", FIRST_PRICE),
-    "fedcdc-first_price": ("fedcdc", {**FIRST_PRICE, "budget_share": 0.5}),
-}
 NO_ALLIANCES = "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
 TINY_GOLDEN = {
     "restricted": {
@@ -730,9 +741,30 @@ def _nan_model(model):
     return out
 
 
+def test_starvation_is_logged_by_sim_naming_the_round(monkeypatch, caplog):
+    # Consumer 1 loses its owners in round 0's matching, which holds until
+    # round 2's, so it starves in rounds 0 and 1 and its model stays as built.
+    match = sim.match_random_partition
+
+    def without_consumer_1(bids, seed):
+        out = match(bids, seed)
+        return {o: c for o, c in out.items() if c != 1} if seed[-1] == 0 else out
+
+    monkeypatch.setattr(sim, "match_random_partition", without_consumer_1)
+    with caplog.at_level(logging.WARNING):
+        trace = run_scenario(tiny_cfg("restricted"))
+    starved = [(rec.name, rec.getMessage()) for rec in caplog.records if "starved" in rec.getMessage()]
+    assert starved == [
+        ("fedmarket.sim", f"round {r}: consumer 1 recruited no owners (starved)") for r in (0, 1)
+    ]
+    rows = [row for row in trace.rows if row.dc_id == 1]
+    assert [row.recruited for row in rows[:2]] == [[], []] and rows[2].recruited
+    assert rows[0].val_acc == rows[1].val_acc
+
+
 def test_non_finite_local_model_stops_run(monkeypatch):
-    def nan_round(consumer, owners, cfg, rng, public=None, model=None):
-        return _nan_model(model if model is not None else consumer.model)
+    def nan_round(start, owners, cfg, rng, public=None):
+        return _nan_model(start)
 
     monkeypatch.setattr(sim, "run_fl_round", nan_round)
     with pytest.raises(FloatingPointError, match="round 0: consumer 0.*local training"):
