@@ -3,8 +3,8 @@
 Pipeline: enumerate candidate consumer coalitions from the bidding history,
 collect accept/conflict responses from each consumer against anonymized
 offers, pick the optimal compatible set by solving a weighted max-clique
-problem, and instantiate each winner as a synthetic consumer with a pooled
-budget.
+problem, and instantiate each winner as an alliance with its own id, model
+and pooled budget.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .market import BiddingHistory, DataConsumer, DataOwner, max_bid_matrix
 from .maxclique import WeightedGraph, solve
-from .nn import init_mlp
+from .nn import Mlp, init_mlp
 
 log = logging.getLogger(__name__)
 
@@ -104,11 +104,13 @@ class Conflicts:
 
 @dataclass
 class Alliance:
-    """An instantiated coalition: its synthetic consumer, whose ``budget`` is
-    the pooled payments, and the money trail."""
+    """An instantiated coalition: its id (a bid-matrix row), its model, its
+    ``budget`` (the pooled payments) and the money trail."""
 
     candidate: AllianceCandidate
-    consumer: DataConsumer
+    id: int
+    model: Mlp
+    budget: float
     payments: dict[int, float]
     effective_budgets: dict[int, float]
     created_round: int = 0
@@ -140,8 +142,6 @@ def enumerate_candidates(
             f"{len(consumers)} consumers exceeds the subset-enumeration guard "
             f"({MAX_ENUMERABLE_CONSUMERS})"
         )
-    if any(c.is_synthetic for c in consumers):
-        raise ValueError("synthetic consumers cannot join alliances")
     by_id = {c.id: c for c in consumers}
     ids = sorted(by_id)
     labels = [frozenset(by_id[c].label_set) for c in ids]
@@ -282,17 +282,17 @@ def instantiate(
     id_start: int,
     created_round: int = 0,
 ) -> list[Alliance]:
-    """Create a synthetic consumer per selected candidate and split the budget.
+    """Create an alliance per selected candidate and split the budget.
 
-    The synthetic model predicts over the union of the participants' label
-    sets; its task (and bidding interest) is the shared label set. It holds
-    no validation shard, since only real consumers are evaluated.
+    The alliance's model predicts over the union of the participants' label
+    sets; its task (and bidding interest) is the candidate's shared labels.
     Participants pay ``budget_share`` each; a candidate whose participant
     cannot afford it is skipped.
     """
+    if budget_share < 0:
+        raise ValueError(f"budget_share must be >= 0, got {budget_share}")
     by_id = {c.id: c for c in consumers}
     out: list[Alliance] = []
-    next_id = id_start
     for cand in sorted(selected, key=lambda c: c.uid):
         members = [by_id[p] for p in sorted(cand.participants)]
         poorest = min(m.budget for m in members)
@@ -314,18 +314,10 @@ def instantiate(
         }
         for m in members:
             m.budget -= budget_share
-        synthetic = DataConsumer(
-            id=next_id,
-            label_set=cand.shared_labels,
-            model=model,
-            validation_shard=None,
-            budget=float(sum(payments.values())),
-            is_synthetic=True,
-        )
+        budget = float(sum(payments.values()))
         out.append(
-            Alliance(cand, synthetic, payments, effective, created_round)
+            Alliance(cand, id_start + len(out), model, budget, payments, effective, created_round)
         )
-        next_id += 1
     return out
 
 

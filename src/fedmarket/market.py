@@ -31,39 +31,31 @@ class DataOwner:
 
 @dataclass
 class DataConsumer:
-    """A party training a model for its label set, with a validation shard and budget.
-
-    Synthetic consumers embody alliances: they bid and train like real ones
-    but never join alliances and their bids are not recorded in history.
-    Only real consumers are evaluated, so an alliance's consumer holds no
-    validation shard (``None``).
-    """
+    """A party training a model for its label set, with a validation shard and budget."""
 
     id: int
     label_set: frozenset[int]
     model: Mlp
-    validation_shard: LabeledDataset | None
+    validation_shard: LabeledDataset
     budget: float = 0.0
-    is_synthetic: bool = False
 
     def __post_init__(self) -> None:
         if not self.label_set:
             raise ValueError(f"consumer {self.id}: empty label set")
         if self.budget < 0:
             raise ValueError(f"consumer {self.id}: negative budget")
-        if self.validation_shard is not None:
-            held = set(np.unique(self.validation_shard.labels).tolist())
-            if not held <= set(self.label_set):
-                raise ValueError(
-                    f"consumer {self.id}: validation labels {sorted(held)} outside label set"
-                )
+        held = set(np.unique(self.validation_shard.labels).tolist())
+        if not held <= set(self.label_set):
+            raise ValueError(
+                f"consumer {self.id}: validation labels {sorted(held)} outside label set"
+            )
 
 
 class BiddingHistory:
     """Ring buffer of the last k rounds of the (m consumers x n owners) bid matrix.
 
     Slots are zero until written, so the stored span is always exactly k.
-    Only real consumers' rows belong here.
+    Only consumers' rows belong here, never an alliance's.
     """
 
     def __init__(self, k: int, n_consumers: int, n_owners: int) -> None:

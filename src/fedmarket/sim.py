@@ -128,21 +128,24 @@ class ScenarioConfig:
                 f"dc_budget={self.dc_budget} is below the first_price bid of "
                 f"{BID}: no consumer could ever win an owner"
             )
-        if (
-            self.scenario == "fedcdc"
-            and self.mechanism == "first_price"
-            and 2 * self.budget_share < BID
-        ):
-            raise ConfigError(
-                f"budget_share={self.budget_share}: a two-consumer alliance pools "
-                f"{2 * self.budget_share}, below the first_price bid of {BID}, "
-                f"so its synthetic consumer could never win an owner"
-            )
         if self.scenario == "fedcdc" and self.budget_share > self.dc_budget:
             raise ConfigError(
                 f"budget_share={self.budget_share} exceeds dc_budget={self.dc_budget}: "
                 f"no participant could pay its share, so no alliance would ever form"
             )
+        if self.scenario == "fedcdc" and self.mechanism == "first_price":
+            if 2 * self.budget_share < BID:
+                raise ConfigError(
+                    f"budget_share={self.budget_share}: a two-consumer alliance pools "
+                    f"{2 * self.budget_share}, below the first_price bid of {BID}, "
+                    f"so it could never win an owner"
+                )
+            if self.dc_budget - self.budget_share < BID:
+                raise ConfigError(
+                    f"budget_share={self.budget_share} leaves a participant "
+                    f"{self.dc_budget - self.budget_share} of dc_budget={self.dc_budget}, "
+                    f"below the first_price bid of {BID}, so it could never win an owner"
+                )
         if self.scenario == "fedcdc" and self.partition.n_dc > MAX_ENUMERABLE_CONSUMERS:
             raise ConfigError(
                 f"partition.n_dc={self.partition.n_dc} exceeds the alliance "
@@ -273,8 +276,8 @@ class _Market:
     A consumer participates in alliances once ``experts`` holds its expert:
     from its first alliance on, it trains the expert on its own owners and
     distils the alliances' models and the expert into its global model.
-    Alliance ``k``'s synthetic consumer has id ``len(consumers) + k``, so
-    consumer ids are bid-matrix rows.
+    Alliance ``k`` has id ``len(consumers) + k``, so the ids of the consumers
+    and alliances are the rows of the bid matrix.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -312,9 +315,6 @@ class _Market:
         self.rows: list[RoundRow] = []
         self.best_val = {c.id: -1.0 for c in self.consumers}
         self.best_test = {c.id: 0.0 for c in self.consumers}
-
-    def all_consumers(self) -> list[DataConsumer]:
-        return self.consumers + [a.consumer for a in self.alliances]
 
     def form_alliances(self, r: int) -> bool:
         """Alliance pass; returns whether it formed any alliance.
@@ -363,7 +363,7 @@ class _Market:
         for a in self.alliances:
             contested = sorted(a.candidate.contested)
             bids[np.ix_(sorted(a.candidate.participants), contested)] = 0.0
-            bids[a.consumer.id, contested] = BID
+            bids[a.id, contested] = BID
         record_bids(self.history, r, bids[: len(self.consumers)])
         if r % cfg.matching_period and not census_changed:
             return
@@ -371,7 +371,8 @@ class _Market:
             self.recruit = {i: [int(j) for j in np.flatnonzero(b > 0)] for i, b in enumerate(bids)}
             return
         if cfg.mechanism == "first_price":
-            assignment = match_first_price(bids, {c.id: c.budget for c in self.all_consumers()})
+            budgets = {b.id: b.budget for b in [*self.consumers, *self.alliances]}
+            assignment = match_first_price(bids, budgets)
         else:
             assignment = match_random_partition(bids, [cfg.seed, _S_MATCHING, r])
         self.recruit = {}
@@ -381,22 +382,23 @@ class _Market:
     def train_locally(self, r: int) -> None:
         """Local training: one FL round per consumer and alliance on its recruited owners.
 
-        It updates a participant's expert and everyone else's global model.
+        It updates a participant's expert and every other consumer's and
+        alliance's model.
         """
         cfg = self.cfg
-        for consumer in self.all_consumers():
-            cid = consumer.id
+        for trainee in [*self.consumers, *self.alliances]:
+            cid = trainee.id
             recruited = [self.owners[o] for o in self.recruit.get(cid, [])]
             if not recruited:
                 log.warning("round %d: consumer %d recruited no owners (starved)", r, cid)
             rng = np.random.default_rng([cfg.seed, _S_TRAINING, cid, r])
             trained = run_fl_round(
-                self.experts.get(cid, consumer.model), recruited, cfg.fl, rng, self.public
+                self.experts.get(cid, trainee.model), recruited, cfg.fl, rng, self.public
             )
             if cid in self.experts:
                 self.experts[cid] = trained
             else:
-                consumer.model = trained
+                trainee.model = trained
             _check_finite(trained, r, cid, "local training")
 
     def distill(self, r: int) -> None:
@@ -404,7 +406,7 @@ class _Market:
         expert into its global model, in place."""
         cfg = self.cfg
         for pid, expert in sorted(self.experts.items()):
-            teachers = [a.consumer.model for a in self.alliances if pid in a.candidate.participants]
+            teachers = [a.model for a in self.alliances if pid in a.candidate.participants]
             student = distill_train(
                 self.consumers[pid].model,
                 [*teachers, expert],
@@ -504,8 +506,8 @@ def _record_of(a: Alliance) -> AllianceRecord:
         value=candidate_value(a.candidate),
         payments={str(k): v for k, v in a.payments.items()},
         effective_budgets={str(k): v for k, v in a.effective_budgets.items()},
-        budget=a.consumer.budget,
-        synthetic_dc_id=a.consumer.id,
+        budget=a.budget,
+        synthetic_dc_id=a.id,
     )
 
 

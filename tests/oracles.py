@@ -119,8 +119,6 @@ def full_scan_candidates(
             f"{len(consumers)} consumers exceeds the subset-enumeration guard "
             f"({MAX_ENUMERABLE_CONSUMERS})"
         )
-    if any(c.is_synthetic for c in consumers):
-        raise ValueError("synthetic consumers cannot join alliances")
     bmax = max_bid_matrix(history)
     by_id = {c.id: c for c in consumers}
     ids = sorted(by_id)

@@ -146,13 +146,6 @@ def test_enumeration_matches_full_scan_oracle(market, min_labels, min_owners, ui
     assert got == want
 
 
-def test_enumeration_rejects_synthetic_consumers():
-    consumers, owners, history = paper_market()
-    consumers[0].is_synthetic = True
-    with pytest.raises(ValueError):
-        enumerate_candidates(consumers, owners, history, 2, 2)
-
-
 def test_candidate_value_products():
     c = AllianceCandidate(0, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
     assert candidate_value(c) == 36
@@ -497,12 +490,15 @@ def test_instantiate_budget_sum():
     out = instantiate([cand], consumers, 10.0, [8], np.random.default_rng(0), id_start=3)
     assert len(out) == 1
     a = out[0]
-    assert a.consumer.budget == 30.0
+    assert a.budget == 30.0
     assert all(p == 10.0 for p in a.payments.values())
-    assert a.consumer.is_synthetic
-    assert a.consumer.id == 3
+    assert a.id == 3
     for c in consumers:
         assert c.budget == 40.0
+    # A negative share is refused before any participant is charged.
+    with pytest.raises(ValueError, match="budget_share"):
+        instantiate([cand], consumers, -1.0, [8], np.random.default_rng(0), id_start=4)
+    assert [c.budget for c in consumers] == [40.0, 40.0, 40.0]
 
 
 def test_instantiate_effective_budget_identity():
@@ -523,10 +519,12 @@ def test_instantiate_union_labels_and_validation_filter():
     ]
     cand = AllianceCandidate(0, frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 1}))
     (a,) = instantiate([cand], consumers, 0.0, [8], np.random.default_rng(2), id_start=2)
-    assert a.consumer.model.active_labels == frozenset(range(6))
-    assert a.consumer.label_set == frozenset({2, 3})
-    # only real consumers are evaluated, so the alliance holds no validation data
-    assert a.consumer.validation_shard is None
+    assert a.id == 2
+    assert a.budget == 0.0
+    assert a.model.active_labels == frozenset(range(6))
+    assert a.candidate.shared_labels == frozenset({2, 3})
+    # an alliance is no consumer and is never evaluated, so it holds no validation data
+    assert not hasattr(a, "validation_shard")
 
 
 def test_instantiate_skips_unaffordable(caplog):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmarket import cli, sim
 from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
@@ -117,7 +119,11 @@ def test_config_validation(tmp_path, capsys):
         for scenario in ("restricted", "unrestricted"):
             tiny_cfg(scenario, **overrides)
     tiny_cfg("fedcdc", budget_share=0.5, dc_budget=0.5)
-    tiny_cfg("fedcdc", mechanism="first_price", dc_budget=1.0, budget_share=1.0)
+    # Under first_price a participant must still afford a bid after paying its
+    # share: keeping 0.5 of 1.0 would starve it from its first alliance on.
+    with pytest.raises(ConfigError, match="budget_share=0.5 leaves a participant 0.5"):
+        tiny_cfg("fedcdc", mechanism="first_price", dc_budget=1.0, budget_share=0.5)
+    tiny_cfg("fedcdc", mechanism="first_price", dc_budget=2.0, budget_share=1.0)
     # Bids from before round 4's alliance would still be in the window at
     # round 6 and propose a stale sub-coalition.
     with pytest.raises(ConfigError, match="history_span"):
@@ -287,6 +293,22 @@ def test_contested_owner_serves_one_consumer_per_round():
         by_round.setdefault(row.round, []).extend(row.recruited)
     for r, owners in by_round.items():
         assert len(owners) == len(set(owners))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from(sim.SCENARIOS), st.booleans())
+def test_owners_serve_one_bidder_and_participants_abstain(seed, scenario, first_price):
+    overrides = TINY_RUNS["fedcdc-first_price"][1] if first_price else {}
+    trace = run_scenario(tiny_cfg(scenario, seed=seed, **overrides))
+    if scenario != "unrestricted":
+        for r in range(trace.rows[-1].round + 1):
+            owners = [o for row in trace.rows if row.round == r for o in row.recruited]
+            assert len(owners) == len(set(owners)), f"round {r}: an owner serves two consumers"
+    for rec in trace.alliances:
+        contested = set(rec.contested_owners)
+        for row in trace.rows:
+            if row.round >= rec.created_round and row.dc_id in rec.participants:
+                assert not set(row.recruited) & contested, (row.round, row.dc_id, rec.uid)
 
 
 def test_fedcdc_forms_single_triple_alliance():
