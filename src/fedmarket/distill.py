@@ -109,22 +109,13 @@ def teacher_targets(
     x: np.ndarray,
     weighting: Weighting,
     target_index: np.ndarray,
-    rows: int,
 ) -> np.ndarray:
     """The ensemble's target distribution p_t over the target positions, one row per sample.
 
-    The teachers forward ``x`` in ``rows``-row chunks: the BLAS may round a
-    row differently depending on how many rows share the call, and a chunk of
-    the training batch size computes each row as a full batch would. Their
-    target columns form one ``(n_teachers, n, n_targets)`` table, and the
-    rest is row-wise.
+    Each teacher forwards all of ``x`` in one call. Their target columns form
+    one ``(n_teachers, n, n_targets)`` table, and the rest is row-wise.
     """
-    z = np.stack([
-        np.concatenate(
-            [forward(t, x[i : i + rows])[:, target_index] for i in range(0, len(x), rows)]
-        )
-        for t in teachers
-    ])
+    z = np.stack([forward(t, x)[:, target_index] for t in teachers])
     return softmax(combine_teachers(z, weighting(z, contrib), contrib), slice(None))
 
 
@@ -167,9 +158,7 @@ def distill_train(
     contrib = contributor_masks(teachers, target_index)
     if cfg.epochs == 0:
         return student
-    p_pool = teacher_targets(
-        teachers, contrib, public.features, weighting, target_index, cfg.batch_size
-    )
+    p_pool = teacher_targets(teachers, contrib, public.features, weighting, target_index)
     opt = init_adam(student.flat, lr=cfg.lr)
     for (idx,) in batch_schedule(n, cfg.epochs, cfg.batch_size, [rng]):
         x = public.features[idx]

@@ -12,10 +12,6 @@ from .nn import Mlp, batch_schedule, forward, init_adam, replicate, train_step, 
 
 # FedDF distills on the soft loss only (uniform teacher averaging).
 FEDDF_ALPHA = 1.0
-# Evaluation forwards a shard in chunks of the default training batch. OpenBLAS
-# hands a GEMM as large as a whole 2000-row shard to its worker threads, which
-# are slow to wake and, on a 2-core machine, spin on the main thread's core.
-EVAL_CHUNK_ROWS = 32
 
 
 @dataclass
@@ -129,9 +125,5 @@ def evaluate(model: Mlp, shard: LabeledDataset) -> float:
     if len(shard) == 0:
         raise ValueError("cannot evaluate on an empty shard")
     cols = model.active_index
-    x = shard.features
-    logits = np.concatenate(
-        [forward(model, x[i : i + EVAL_CHUNK_ROWS]) for i in range(0, len(x), EVAL_CHUNK_ROWS)]
-    )
-    pred = cols[np.argmax(logits[:, cols], axis=1)]
+    pred = cols[np.argmax(forward(model, shard.features)[:, cols], axis=1)]
     return float((pred == shard.labels).mean())

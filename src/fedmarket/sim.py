@@ -434,7 +434,13 @@ def _load_data(cfg: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
     test_per_class = -(-cfg.samples_per_test // sizes.n_c)
     if cfg.idx is not None:
         base = load_idx(cfg.idx.train_images, cfg.idx.train_labels)
-        test = load_idx(cfg.idx.test_images, cfg.idx.test_labels, base.num_classes)
+        test = load_idx(cfg.idx.test_images, cfg.idx.test_labels)
+        if test.num_classes > base.num_classes:
+            raise ConfigError(
+                f"idx.test_labels: class {test.num_classes - 1} is not among the "
+                f"{base.num_classes} classes of idx.train_labels"
+            )
+        test = dataclasses.replace(test, num_classes=base.num_classes)
         if base.num_classes < sizes.classes_needed:
             raise ConfigError(
                 f"idx.train_labels: {base.num_classes} classes, below the "
@@ -578,12 +584,9 @@ def recovered_gap_ratio(
 
 
 def compare_scenarios(cfg_base: ScenarioConfig) -> dict:
-    """Run all three scenarios on a shared seed/partition and report the gap recovery."""
-    finals: dict[str, float] = {}
-    for scenario in SCENARIOS:
-        cfg = dataclasses.replace(cfg_base, scenario=scenario)
-        trace = run_scenario(cfg)
-        finals[scenario] = trace.final_mean_test()
+    """Check the three scenario configs, run them on one seed/partition, report the gap recovery."""
+    cfgs = {scenario: dataclasses.replace(cfg_base, scenario=scenario) for scenario in SCENARIOS}
+    finals = {scenario: run_scenario(cfg).final_mean_test() for scenario, cfg in cfgs.items()}
     ratio = recovered_gap_ratio(finals["unrestricted"], finals["restricted"], finals["fedcdc"])
     return {
         "seed": cfg_base.seed,

@@ -331,7 +331,8 @@ def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
     # No epoch, no table: the teachers are only checked.
     tables = 1 if epochs else 0
     assert table_calls == [197] * tables
-    assert len(calls) == tables * len(teachers) * math.ceil(197 / 32)
+    # One forward per teacher per table, over the whole pool.
+    assert calls == [197] * (tables * len(teachers))
     assert sum(calls) == tables * len(teachers) * 197
 
 
@@ -345,7 +346,7 @@ def _oracle_distill_train(student, teachers, weighting, public, alpha, epochs, b
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             x = public.features[order[start : start + batch_size]]
-            p_t = teacher_targets(teachers, contrib, x, weighting, target_index, batch_size)
+            p_t = teacher_targets(teachers, contrib, x, weighting, target_index)
             logits, acts = forward_cached(student, x)
             dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
             adam_step(opt, student.flat, backward(student, acts, dz))
@@ -377,7 +378,7 @@ def test_teacher_table_matches_per_chunk_build(weighting, weighting_kwide, n_row
     pub, teachers, student = _overlapping_setup(n_rows)
     target_index = student.active_index
     contrib = contributor_masks(teachers, target_index)
-    table = teacher_targets(teachers, contrib, pub.features, weighting, target_index, 32)
+    table = teacher_targets(teachers, contrib, pub.features, weighting, target_index)
     expected = teacher_table_per_chunk(teachers, pub.features, weighting_kwide, target_index, 32)
     assert table.shape == (n_rows, target_index.size)
     assert np.array_equal(table, expected)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmarket import fed
+from fedmarket import nn
 from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs
 from fedmarket.distill import contributor_masks, teacher_targets, uniform_weights
 from fedmarket.fed import (
@@ -18,7 +18,15 @@ from fedmarket.fed import (
     run_fl_round,
 )
 from fedmarket.market import DataOwner
-from fedmarket.nn import Mlp, clone_model, forward, init_adam, init_mlp, train_step
+from fedmarket.nn import (
+    Mlp,
+    clone_model,
+    forward,
+    forward_cached,
+    init_adam,
+    init_mlp,
+    train_step,
+)
 from oracles import distill_loss, split_per_class
 
 
@@ -226,7 +234,7 @@ def feddf_loss(student, teachers, public, alpha):
     """Mean FedDF (uniform-ensemble) distillation loss over the public pool."""
     idx = student.active_index
     contrib = contributor_masks(teachers, idx)
-    p_t = teacher_targets(teachers, contrib, public.features, uniform_weights, idx, len(public))
+    p_t = teacher_targets(teachers, contrib, public.features, uniform_weights, idx)
     return float(distill_loss(forward(student, public.features)[:, idx], p_t, alpha).mean())
 
 
@@ -332,17 +340,17 @@ def test_evaluate_forwards_at_most_a_batch_of_rows(monkeypatch):
     ds = gen_blobs(4, 6, 500, 1.0, 30)  # a 2000-row shard
     model = model_with(31, dims=(6, 8, 4), active={0, 2, 3})
     cols = model.active_index
-    one_call = cols[np.argmax(forward(model, ds.features)[:, cols], axis=1)]
+    one_call = cols[np.argmax(forward_cached(model, ds.features)[0][:, cols], axis=1)]
     rows = []
 
     def counted(m, x):
         rows.append(len(x))
-        return forward(m, x)
+        return forward_cached(m, x)
 
-    monkeypatch.setattr(fed, "forward", counted)
+    monkeypatch.setattr(nn, "forward_cached", counted)
     assert evaluate(model, ds) == float((one_call == ds.labels).mean())
     assert sum(rows) == len(ds)
-    assert max(rows) <= fed.EVAL_CHUNK_ROWS == 32
+    assert max(rows) <= nn.FORWARD_ROWS == 32
 
 
 def test_evaluate_validates_inputs():

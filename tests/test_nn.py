@@ -146,6 +146,19 @@ def test_forward_output_shape():
     assert out.shape == (32, 10)
 
 
+def test_forward_goes_in_slices_of_forward_rows():
+    # 193 rows: six full slices and a 1-row tail, one model and a stack of 3.
+    one = init_mlp(6, [8], 5, {0, 2, 4}, np.random.default_rng(40))
+    stack = replicate(one, 3)
+    stack.flat += np.random.default_rng(41).normal(0.0, 0.1, stack.flat.shape)
+    x = np.random.default_rng(42).normal(size=(3, 193, 6))
+    assert nn.FORWARD_ROWS == 32
+    for model, pool in ((one, x[0]), (stack, x)):
+        sliced = [forward_cached(model, pool[..., i : i + 32, :])[0] for i in range(0, 193, 32)]
+        assert np.array_equal(forward(model, pool), np.concatenate(sliced, axis=-2))
+    assert forward(one, x[0, :0]).shape == (0, 5)
+
+
 def test_forward_dim_mismatch_rejected():
     m = small_model()
     with pytest.raises(ValueError):

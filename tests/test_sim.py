@@ -645,6 +645,17 @@ def test_idx_class_counts_fail_as_soon_as_read(tmp_path):
         sim._load_data(cfg)
 
 
+def test_idx_test_class_outside_the_training_classes_fails_naming_the_key(tmp_path):
+    doc = dataclasses.asdict(tiny_cfg("restricted"))
+    doc["idx"] = {}
+    for split, classes in (("train", 10), ("test", 13)):
+        labels = np.repeat(np.arange(classes), 230).astype(np.uint8)
+        img, lbl = write_idx_pair(tmp_path / split, np.zeros((len(labels), 4, 4), np.uint8), labels)
+        doc["idx"].update({f"{split}_images": str(img), f"{split}_labels": str(lbl)})
+    with pytest.raises(ConfigError, match="idx.test_labels: class 12 is not among the 10 classes"):
+        sim._load_data(config_from_dict(doc))
+
+
 def test_emit_two_digit_consumer_ids(tmp_path):
     # JSON object keys are strings and sort as strings, so consumer 10's
     # payment is written before consumer 2's.
@@ -686,6 +697,16 @@ def test_compare_scenarios_structure():
     assert set(report["final_mean_test_acc"]) == {"unrestricted", "restricted", "fedcdc"}
     ratio = report["recovered_gap_ratio"]
     assert isinstance(ratio, float) or ratio == "undefined (zero gap)"
+
+
+def test_compare_scenarios_checks_every_config_before_any_run(monkeypatch):
+    # alliance_start is checked only for fedcdc, the last scenario run.
+    cfg = tiny_cfg("restricted", rounds=3, alliance_start=5)
+    runs = []
+    monkeypatch.setattr(sim, "run_scenario", lambda c: runs.append(c.scenario))
+    with pytest.raises(ConfigError, match="alliance_start=5 must fall inside the 3 rounds"):
+        compare_scenarios(cfg)
+    assert runs == []
 
 
 # ---------------------------------------------------------------- cli
