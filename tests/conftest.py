@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from fedmarket.distill import DistillConfig
 from fedmarket.fed import FLRoundConfig
 from fedmarket.market import BiddingHistory, DataConsumer, DataOwner, default_bids, record_bids
 from fedmarket.nn import backward, forward, forward_cached, init_mlp, softmax
-from fedmarket.sim import BlobSpec, PartitionSizes, ScenarioConfig
+from fedmarket.sim import BlobSpec, PartitionSizes, ScenarioConfig, emit_metrics, run_scenario
 
 
 def tiny_cfg(scenario="restricted", **overrides):
@@ -35,13 +36,28 @@ def tiny_cfg(scenario="restricted", **overrides):
 
 # The tiny runs by name: a scenario and its tiny_cfg overrides.
 FIRST_PRICE = dict(mechanism="first_price", dc_budget=24.0)
+FEDDF = dict(fl=FLRoundConfig(local_epochs=2, batch_size=32, method="feddf"))
 TINY_RUNS = {
     "restricted": ("restricted", {}),
     "fedcdc": ("fedcdc", {}),
     "unrestricted": ("unrestricted", {}),
     "restricted-first_price": ("restricted", FIRST_PRICE),
     "fedcdc-first_price": ("fedcdc", {**FIRST_PRICE, "budget_share": 0.5}),
+    "restricted-feddf": ("restricted", FEDDF),
+    "fedcdc-feddf": ("fedcdc", FEDDF),
+    "fedcdc-alpha-half": ("fedcdc", dict(distill=DistillConfig(alpha=0.5, epochs=2, batch_size=32))),
 }
+
+
+def output_digests(trace, out_dir):
+    """SHA-256 of each output file that ``emit_metrics`` writes for ``trace``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in emit_metrics(trace, out_dir)}
+
+
+def tiny_run_digests(run, out_dir):
+    """Run the tiny run named ``run`` and digest its three output files."""
+    scenario, overrides = TINY_RUNS[run]
+    return output_digests(run_scenario(tiny_cfg(scenario, **overrides)), out_dir)
 
 
 def write_idx_pair(directory, images, labels):

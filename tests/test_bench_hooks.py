@@ -88,7 +88,9 @@ def test_benchmark_sim_hooks_are_called(tmp_path, monkeypatch):
     assert calls["fedmarket.fed.local_train"] == calls["rounds with owners"] > 0
 
 
-@pytest.mark.parametrize("run", ["restricted", "fedcdc", "fedcdc-first_price"])
+# The feddf runs stay out: FedDF distils inside fed.feddf_round, where the
+# probe does not count.
+@pytest.mark.parametrize("run", ["restricted", "fedcdc", "fedcdc-first_price", "fedcdc-alpha-half"])
 def test_benchmark_work_counts_match_the_rows_stepped(monkeypatch, run):
     # The probe counts work per sim call: owner sample-epochs per run_fl_round
     # and public sample-epochs per distill_train. The library steps those rows

@@ -36,7 +36,7 @@ from fedmarket.sim import (
     recovered_gap_ratio,
     run_scenario,
 )
-from conftest import TINY_RUNS, tiny_cfg, write_idx_pair
+from conftest import TINY_RUNS, output_digests, tiny_cfg, tiny_run_digests, write_idx_pair
 from oracles import write_dimacs
 
 
@@ -327,7 +327,7 @@ def test_fedcdc_forms_single_triple_alliance():
                 assert not (set(row.recruited) & shared)
 
 
-def test_fedcdc_nine_consumers_run_past_the_first_alliance_pass():
+def test_fedcdc_nine_consumers_run_past_the_first_alliance_pass(tmp_path):
     # The pass at round 2 picks four alliances, so four alliance rows share
     # group 0's nine owners: the partition mechanism deals them 3, 2, 2, 2.
     cfg = tiny_cfg(
@@ -343,6 +343,12 @@ def test_fedcdc_nine_consumers_run_past_the_first_alliance_pass():
     participants = [rec.participants for rec in trace.alliances]
     assert participants == [[0, 1], [2, 3], [4, 5], [6, 7, 8]]
     assert {row.round for row in trace.rows} == set(range(4))
+    # the only scenario pass that selects several alliances, pinned byte for byte
+    assert output_digests(trace, tmp_path) == {
+        "accuracy.csv": "2d5a6ee8187d5d054651d44d43d73b137163e0655694dc97bba5d45779bc2723",
+        "alliances.json": "01a796a70c002b75c28cbe92f45d5240aff1f99987871a18509ba5d7730456a0",
+        "summary.json": "84ea5d26270f2b403e7712fa0ac6204bd190636bf2f99224b6df968a1325f5c5",
+    }
 
 
 def test_trace_has_one_row_per_round_and_dc():
@@ -571,15 +577,45 @@ TINY_GOLDEN = {
         "alliances.json": "56d16623132b9b8a9f81f7eb1e4dd9fb2d5ebce0549123936700f35dc12f13e2",
         "summary.json": "0a78ac19615a2f7712a0b6e497fa5313a2e2e2f36a7e79a9b75ba29d1d48296f",
     },
+    "restricted-feddf": {
+        "accuracy.csv": "0b8dfaf9b998813e53f12a3443b9f06c17291f23ba020abc749727db9c87007a",
+        "alliances.json": NO_ALLIANCES,
+        "summary.json": "d2a20769571be84c71b0ab585d36894a87e832a547cf23676df0695b3da303cf",
+    },
+    "fedcdc-feddf": {
+        "accuracy.csv": "aeb235e4d8248458be8ef8cf69b7d95423ec7bf3bd25237245c06211d533c882",
+        "alliances.json": "ac3a4952d49aff7935d54dee927d9cd884f6359054997f7fb0b4c6e02fc2add0",
+        "summary.json": "bdabc83f1e330eab3d7f63e5daa1b5f181d09f1b64f4cffa073b88218ba55ce2",
+    },
+    "fedcdc-alpha-half": {
+        "accuracy.csv": "723a7df5d79355f73cbd49f26beb02cc7d5b4db9cee59a48dfe5f26b915b8175",
+        "alliances.json": "ac3a4952d49aff7935d54dee927d9cd884f6359054997f7fb0b4c6e02fc2add0",
+        "summary.json": "d63ecacdd8671a41819d4a83264c6481805d6a7ad9d45de62b843518386f96a0",
+    },
 }
 
 
 @pytest.mark.parametrize("run", sorted(TINY_GOLDEN))
 def test_emit_matches_golden_digests(tmp_path, run):
-    scenario, overrides = TINY_RUNS[run]
-    paths = emit_metrics(run_scenario(tiny_cfg(scenario, **overrides)), tmp_path)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    assert digests == TINY_GOLDEN[run]
+    assert tiny_run_digests(run, tmp_path) == TINY_GOLDEN[run]
+
+
+def test_tiny_goldens_hold_under_one_blas_thread():
+    # OpenBLAS fixes its thread count when numpy is first imported, so the
+    # runs go in a fresh process that sets it first.
+    tests = Path(__file__).resolve().parent
+    src = str(Path(sim.__file__).resolve().parents[1])
+    code = (
+        "import json, sys, tempfile\n"
+        "from conftest import TINY_RUNS, tiny_run_digests\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    json.dump({run: tiny_run_digests(run, f'{out}/{run}') for run in TINY_RUNS}, sys.stdout)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, str(tests)])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == TINY_GOLDEN
 
 
 # SHA-256 of the tiny runs' three output files when the data comes from IDX files.
@@ -611,9 +647,7 @@ def test_idx_config_matches_golden_digests(tmp_path, scenario):
     for split, rows in (("train", slice(None, kept)), ("test", slice(kept, None))):
         img, lbl = write_idx_pair(tmp_path / split, images[rows], labels[rows])
         doc["idx"].update({f"{split}_images": str(img), f"{split}_labels": str(lbl)})
-    paths = emit_metrics(run_scenario(config_from_dict(doc)), tmp_path / "out")
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    assert digests == IDX_GOLDEN[scenario]
+    assert output_digests(run_scenario(config_from_dict(doc)), tmp_path / "out") == IDX_GOLDEN[scenario]
 
 
 def test_idx_class_counts_fail_as_soon_as_read(tmp_path):
