@@ -65,6 +65,11 @@ class DCResponse:
     conflicts: np.ndarray
 
 
+def _check_uid_order(uids: np.ndarray) -> None:
+    if (bad := np.flatnonzero(uids[1:] <= uids[:-1])).size:
+        raise ValueError(f"uids must be strictly increasing: uid {uids[bad[0] + 1]} follows {uids[bad[0]]}")
+
+
 @dataclass(frozen=True, eq=False)
 class Conflicts:
     """The pairs of candidates that may not be chosen together.
@@ -87,8 +92,7 @@ class Conflicts:
             raise ValueError(
                 f"matrix must be a {n} x {n} boolean array, got {self.matrix.dtype} {self.matrix.shape}"
             )
-        if np.any(self.uids[1:] <= self.uids[:-1]):
-            raise ValueError("uids must be strictly increasing")
+        _check_uid_order(self.uids)
         if not np.array_equal(self.matrix, self.matrix.T):
             raise ValueError("conflict matrix must be symmetric")
         if self.matrix.diagonal().any():
@@ -202,25 +206,19 @@ def offer_and_collect(
 ) -> tuple[list[AllianceCandidate], Conflicts]:
     """Anonymized offer round: a candidate survives only if all members accept.
 
-    Returns the surviving candidates and the union of all consumers'
-    conflicts over every candidate. A response that accepts an unknown uid,
-    or whose conflict matrix does not fit its offers, is discarded (and
+    ``candidates`` come in increasing uid order, as ``enumerate_candidates``
+    emits them. Returns the surviving candidates, in that order, and the union
+    of all consumers' conflicts over them. A response that accepts an unknown
+    uid, or whose conflict matrix does not fit its offers, is discarded (and
     logged), which makes that consumer's offers fail the unanimity rule.
     """
-    n = len(candidates)
-    by_uid = sorted(range(n), key=lambda i: candidates[i].uid)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_uid] = np.arange(n)
+    uids = np.array([c.uid for c in candidates], dtype=np.int64)
+    _check_uid_order(uids)
     anon = [AnonOffer(c.uid, len(c.participants), c.shared_labels, c.contested) for c in candidates]
-    offered_to: dict[int, list[int]] = {}  # consumer id -> its candidates' positions, in order
-    for i, c in enumerate(candidates):
-        for pid in c.participants:
-            offered_to.setdefault(pid, []).append(i)
-    # Conflicts in uid-rank space, the order of Conflicts.uids.
-    conflicting = np.zeros((n, n), dtype=bool)
-    accepted_by: dict[int, set[int]] = {}
+    conflicting = np.zeros((len(uids), len(uids)), dtype=bool)
+    votes = np.zeros(len(uids), dtype=np.intp)  # members accepting each candidate
     for consumer in consumers:
-        mine = offered_to.get(consumer.id)
+        mine = [i for i, c in enumerate(candidates) if consumer.id in c.participants]
         if not mine:
             continue
         offers = [anon[i] for i in mine]
@@ -232,20 +230,14 @@ def offer_and_collect(
                 "consumer %d response rejected: unknown uids %s, conflict matrix %s for %d offers",
                 consumer.id, sorted(unknown), matrix.shape, len(mine),
             )
-            accepted_by[consumer.id] = set()
             continue
-        accepted_by[consumer.id] = set(response.accepted)
-        idx = rank[mine]
-        conflicting[np.ix_(idx, idx)] |= matrix
-    surviving = [
-        c
-        for c in candidates
-        if all(c.uid in accepted_by.get(pid, set()) for pid in c.participants)
-    ]
+        votes[mine] += [o.uid in response.accepted for o in offers]
+        conflicting[np.ix_(mine, mine)] |= matrix
+    keep = np.flatnonzero(votes == [len(c.participants) for c in candidates])
+    conflicting = conflicting.take(keep, axis=0).take(keep, axis=1)
     conflicting |= conflicting.T
     np.fill_diagonal(conflicting, False)
-    uids = np.array([candidates[i].uid for i in by_uid], dtype=np.int64)
-    return surviving, Conflicts(uids, conflicting)
+    return [candidates[i] for i in keep], Conflicts(uids[keep], conflicting)
 
 
 def select_alliances(
@@ -254,23 +246,19 @@ def select_alliances(
 ) -> list[AllianceCandidate]:
     """Maximum-total-value conflict-free subset, via the weighted max-clique solver.
 
-    Every accepted uid must be in ``conflicts``; candidates of the relation
-    that are not among ``accepted`` are left out.
+    ``conflicts`` is the relation over exactly the ``accepted`` uids, which
+    come in increasing order, as ``offer_and_collect`` returns them.
     """
-    if not accepted:
-        return []
-    ordered = sorted(accepted, key=lambda c: c.uid)
-    uids = np.array([c.uid for c in ordered], dtype=np.int64)
-    pos = np.searchsorted(conflicts.uids, uids)
-    # A sentinel past the largest accepted uid catches positions past the end.
-    found = np.append(conflicts.uids, uids[-1] + 1)[pos] == uids
-    if not found.all():
-        raise ValueError(f"candidate uid {uids[~found][0]} is not in the conflict relation")
-    adj = ~conflicts.matrix.take(pos, axis=0).take(pos, axis=1)
+    uids = np.array([c.uid for c in accepted], dtype=np.int64)
+    _check_uid_order(uids)
+    if not np.array_equal(uids, conflicts.uids):
+        stray = np.setxor1d(uids, conflicts.uids)[0]
+        where = "in the conflict relation" if stray in uids else "an accepted candidate"
+        raise ValueError(f"candidate uid {stray} is not {where}")
+    adj = ~conflicts.matrix
     np.fill_diagonal(adj, False)
-    graph = WeightedGraph([candidate_value(c) for c in ordered], adj)
-    chosen, _ = solve(graph)
-    return [ordered[i] for i in sorted(chosen)]
+    chosen, _ = solve(WeightedGraph([candidate_value(c) for c in accepted], adj))
+    return [accepted[i] for i in sorted(chosen)]
 
 
 def instantiate(
@@ -282,7 +270,7 @@ def instantiate(
     id_start: int,
     created_round: int = 0,
 ) -> list[Alliance]:
-    """Create an alliance per selected candidate and split the budget.
+    """Create an alliance per selected candidate, in order, and split the budget.
 
     The alliance's model predicts over the union of the participants' label
     sets; its task (and bidding interest) is the candidate's shared labels.
@@ -293,7 +281,7 @@ def instantiate(
         raise ValueError(f"budget_share must be >= 0, got {budget_share}")
     by_id = {c.id: c for c in consumers}
     out: list[Alliance] = []
-    for cand in sorted(selected, key=lambda c: c.uid):
+    for cand in selected:
         members = [by_id[p] for p in sorted(cand.participants)]
         poorest = min(m.budget for m in members)
         if budget_share > poorest:

@@ -121,9 +121,9 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
 
     Ids are 1-based and missing weights default to 1.
 
-    A record without exactly two integer fields, a negative node count, a
-    node id outside ``1..n``, a self-loop or a node weight below 1 is
-    rejected with an error naming its line.
+    A record without exactly two integer fields, a second problem line, a
+    negative node count, a node id outside ``1..n``, a self-loop or a node
+    weight below 1 is rejected with an error naming its line.
     """
     n: int | None = None
     records: list[tuple[int, str, int, int]] = []
@@ -141,6 +141,8 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
         except ValueError:  # a field missing, one too many, or not an integer
             raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
         if kind == "p":
+            if n is not None:
+                raise ValueError(f"line {lineno}: second problem line {line!r}")
             if a < 0:
                 raise ValueError(f"line {lineno}: negative node count {a}")
             n = a

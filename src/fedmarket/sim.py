@@ -146,12 +146,24 @@ class ScenarioConfig:
                     f"{self.dc_budget - self.budget_share} of dc_budget={self.dc_budget}, "
                     f"below the first_price bid of {BID}, so it could never win an owner"
                 )
-        if self.scenario == "fedcdc" and self.partition.n_dc > MAX_ENUMERABLE_CONSUMERS:
+        sizes = self.partition
+        if self.scenario == "fedcdc" and sizes.n_dc > MAX_ENUMERABLE_CONSUMERS:
             raise ConfigError(
-                f"partition.n_dc={self.partition.n_dc} exceeds the alliance "
+                f"partition.n_dc={sizes.n_dc} exceeds the alliance "
                 f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)"
             )
-        sizes = self.partition
+        # Any two consumers share exactly the shared block's labels and both
+        # bid on exactly owner group 0's owners.
+        labels, owners = self.min_shared_labels, self.min_shared_owners
+        for never, why in [
+            (sizes.n_dc < 2, f"partition.n_dc={sizes.n_dc}: an alliance needs 2 consumers"),
+            (labels > sizes.n_shared, f"min_shared_labels={labels} exceeds the "
+             f"{sizes.n_shared} labels any two consumers share (partition.n_c // 2)"),
+            (owners > sizes.owners_per_group, f"min_shared_owners={owners} exceeds the "
+             f"{sizes.owners_per_group} owners any two consumers both bid on (owner group 0)"),
+        ]:
+            if self.scenario == "fedcdc" and never:
+                raise ConfigError(f"{why}, so no alliance would ever form")
         if (self.scenario == "fedcdc" or self.fl.method == "feddf") and sizes.public_size < 1:
             raise ConfigError(
                 f"partition.public_size={sizes.public_size} leaves no public data to distil on"

@@ -147,22 +147,22 @@ log = logging.getLogger(__name__)
 def offer_and_collect_pairs(candidates, consumers, policy=default_policy):
     """Anonymized offer round: a candidate survives only if all members accept.
 
-    Returns the surviving candidates and the union of all conflicting pairs,
-    each as a (smaller uid, larger uid) tuple. A response that accepts an
-    unknown uid, or whose conflict matrix does not fit its offers, is
+    ``candidates`` come in increasing uid order. Returns the surviving
+    candidates, in that order, and the union of all conflicting pairs between
+    them, each as a (smaller uid, larger uid) tuple. A response that accepts
+    an unknown uid, or whose conflict matrix does not fit its offers, is
     discarded (and logged), which makes that consumer's offers fail the
     unanimity rule.
     """
     n = len(candidates)
-    by_uid = sorted(range(n), key=lambda i: candidates[i].uid)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_uid] = np.arange(n)
+    if any(a.uid >= b.uid for a, b in zip(candidates, candidates[1:])):
+        raise ValueError("candidates must come in increasing uid order")
     anon = [AnonOffer(c.uid, len(c.participants), c.shared_labels, c.contested) for c in candidates]
     offered_to: dict[int, list[int]] = {}  # consumer id -> its candidates' positions, in order
     for i, c in enumerate(candidates):
         for pid in c.participants:
             offered_to.setdefault(pid, []).append(i)
-    # Conflicts in uid-rank space, so the upper triangle yields sorted pairs.
+    # Positions follow the uids, so the upper triangle yields sorted pairs.
     conflicting = np.zeros((n, n), dtype=bool)
     accepted_by: dict[int, set[int]] = {}
     for consumer in consumers:
@@ -181,8 +181,7 @@ def offer_and_collect_pairs(candidates, consumers, policy=default_policy):
             accepted_by[consumer.id] = set()
             continue
         accepted_by[consumer.id] = set(response.accepted)
-        idx = rank[mine]
-        conflicting[np.ix_(idx, idx)] |= matrix
+        conflicting[np.ix_(mine, mine)] |= matrix
     surviving = [
         c
         for c in candidates
@@ -191,21 +190,23 @@ def offer_and_collect_pairs(candidates, consumers, policy=default_policy):
     a, b = np.nonzero(np.triu(conflicting | conflicting.T, 1))
     # An object array hands out the candidates' own uid objects, so the pairs
     # share them instead of each holding two new ints.
-    uids = np.array([candidates[i].uid for i in by_uid], dtype=object)
-    return surviving, set(zip(uids[a].tolist(), uids[b].tolist()))
+    uids = np.array([c.uid for c in candidates], dtype=object)
+    survivors = {c.uid for c in surviving}
+    pairs = zip(uids[a].tolist(), uids[b].tolist())
+    return surviving, {(u, v) for u, v in pairs if u in survivors and v in survivors}
 
 
 def conflicts_from_pairs(uids, pairs) -> Conflicts:
-    """The relation over ``uids`` and every uid a pair names, holding exactly ``pairs``.
+    """The relation over ``uids``, holding exactly ``pairs``.
 
-    A pair may name its uids in either order.
+    A pair may name its uids in either order; each must be among ``uids``.
     """
-    ordered = np.array(sorted(set(uids).union(*pairs)), dtype=np.int64)
+    ordered = sorted(uids)
+    pos = {u: i for i, u in enumerate(ordered)}
     matrix = np.zeros((len(ordered), len(ordered)), dtype=bool)
-    if pairs:
-        a, b = np.searchsorted(ordered, np.array(list(pairs), dtype=np.int64)).T
-        matrix[a, b] = matrix[b, a] = True
-    return Conflicts(ordered, matrix)
+    for u, v in pairs:
+        matrix[pos[u], pos[v]] = matrix[pos[v], pos[u]] = True
+    return Conflicts(np.array(ordered, dtype=np.int64), matrix)
 
 
 def kl_div(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -196,13 +196,15 @@ def test_offer_conflict_pairs_survive_individually():
             matrix[uids.index(u1), uids.index(u2)] = symmetric
         return DCResponse(set(uids), matrix)
 
-    # Offers come in the candidates' order, which need not be uid order; a
-    # pair marked on one side of the diagonal only still conflicts.
-    for given in (cands, cands[1:] + cands[:1]):
-        for symmetric in (True, False):
-            surviving, conflicts = offer_and_collect(given, consumers, reject_pair)
-            assert {c.uid for c in surviving} == {c.uid for c in cands}
-            assert set(conflicts) == {(u1, u2)}
+    # A pair marked on one side of the diagonal only still conflicts.
+    for symmetric in (True, False):
+        surviving, conflicts = offer_and_collect(cands, consumers, reject_pair)
+        assert surviving == cands
+        assert conflicts.uids.tolist() == [c.uid for c in cands]
+        assert set(conflicts) == {(u1, u2)}
+    # Candidates come in uid order; a rotated list is rejected before any offer.
+    with pytest.raises(ValueError, match=f"uid {cands[0].uid} follows {cands[-1].uid}"):
+        offer_and_collect(cands[1:] + cands[:1], consumers, reject_pair)
 
 
 def test_offer_unknown_uid_response_discarded(caplog):
@@ -303,13 +305,12 @@ _RESPONSE_KINDS = ["symmetric", "one_sided", "partial", "wrong_shape", "unknown_
 )
 def test_offer_conflicts_match_the_tuple_set_oracle(participant_sets, kinds, seed, shuffle):
     rng = np.random.default_rng(seed)
-    # gapped uids, offered in a shuffled order
+    # gapped increasing uids
     uids = (np.cumsum(rng.integers(1, 4, len(participant_sets))) - 5).tolist()
     cands = [
         AllianceCandidate(u, members, frozenset({0, 1}), frozenset({0}))
         for u, members in zip(uids, participant_sets)
     ]
-    shuffle.shuffle(cands)
     consumers = [SimpleNamespace(id=i) for i in range(6)]
 
     def policy(consumer, offers):
@@ -332,11 +333,16 @@ def test_offer_conflicts_match_the_tuple_set_oracle(participant_sets, kinds, see
     surviving, conflicts = offer_and_collect(cands, consumers, policy)
     want_surviving, want_pairs = offer_and_collect_pairs(cands, consumers, policy)
     assert surviving == want_surviving
-    assert conflicts.uids.tolist() == sorted(uids)
+    assert conflicts.uids.tolist() == [c.uid for c in surviving]
     pairs = list(conflicts)
     assert set(pairs) == want_pairs
     assert len(conflicts) == len(pairs) == len(want_pairs)
     assert all(type(a) is int and type(b) is int and a < b for a, b in pairs)
+    # any other order is rejected, naming the first uid out of place
+    shuffled = shuffle.sample(cands, len(cands))
+    if shuffled != cands:
+        with pytest.raises(ValueError, match="uids must be strictly increasing: uid -?[0-9]+ follows"):
+            offer_and_collect(shuffled, consumers, policy)
 
 
 def test_conflicts_checks_its_invariants():
@@ -383,8 +389,10 @@ def test_select_nonconflicting_takes_both():
     b = AllianceCandidate(1, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
     out = select_alliances([a, b], conflicts_from_pairs([0, 1], set()))
     assert out == [a, b]
-    # pairs naming a uid that is not among the candidates are ignored
-    assert select_alliances([a, b], conflicts_from_pairs([0, 1], {(0, 7), (5, 1), (-3, 0)})) == [a, b]
+    # a relation over more uids than the candidates is rejected, naming the first extra
+    for uids, extra in (([-3, 0, 1], -3), ([0, 1, 7], 7), ([0, 1, 5, 7], 5)):
+        with pytest.raises(ValueError, match=f"candidate uid {extra} is not an accepted candidate"):
+            select_alliances([a, b], conflicts_from_pairs(uids, {(0, 1)}))
 
 
 def test_select_conflicting_keeps_heavier():
@@ -397,11 +405,16 @@ def test_select_conflicting_keeps_heavier():
 def test_select_rejects_a_uid_missing_from_the_conflicts():
     a = AllianceCandidate(0, frozenset({1, 2}), frozenset({0, 1}), frozenset(range(6)))
     b = AllianceCandidate(5, frozenset({1, 2, 3}), frozenset({0, 1}), frozenset(range(6)))
-    # below, inside and above the relation's uids, and with an empty relation
-    for uids in ([1, 5], [0, 3, 7], [0, 1], []):
-        missing = min({0, 5} - set(uids))
-        with pytest.raises(ValueError, match=f"candidate uid {missing} is not in the conflict"):
+    # the smaller, the larger and both uids missing from the relation
+    for uids, missing in (([5], 0), ([0], 5), ([], 0)):
+        with pytest.raises(ValueError, match=f"candidate uid {missing} is not in the conflict relation"):
             select_alliances([a, b], conflicts_from_pairs(uids, set()))
+    # one missing and one extra: the smaller uid of the two is named
+    with pytest.raises(ValueError, match="candidate uid 3 is not an accepted candidate"):
+        select_alliances([a, b], conflicts_from_pairs([0, 3], set()))
+    # the candidates come in uid order, as the relation's uids do
+    with pytest.raises(ValueError, match="uid 0 follows 5"):
+        select_alliances([b, a], conflicts_from_pairs([0, 5], set()))
 
 
 def test_select_paper_instance_matches_brute_force():
@@ -432,20 +445,22 @@ def test_select_matches_brute_force_on_random_instances():
             for b in range(a + 1, n):
                 if rng.random() < 0.4:
                     conflicts.add((a, b))
-        got = select_alliances(cands, conflicts_from_pairs(range(n), conflicts))
-        assert sum(candidate_value(c) for c in got) == _brute_force_select(cands, conflicts)
-        # The same instance under uids with gaps, plus pairs naming uids that
-        # no candidate has (in a gap, below the smallest, above the largest).
+        plain = select_alliances(cands, conflicts_from_pairs(range(n), conflicts))
+        assert sum(candidate_value(c) for c in plain) == _brute_force_select(cands, conflicts)
+        # The same instance under uids with gaps, its pairs named in either order.
         uids = sorted(int(u) for u in gaps.choice(np.arange(5, 10 * n + 5), n, replace=False))
         gapped = [replace(c, uid=uids[c.uid]) for c in cands]
-        strays = [int(s) for s in gaps.integers(0, uids[-1] + 6, 6) if s not in uids]
-        gapped_conflicts = {(uids[a], uids[b]) for a, b in conflicts}
-        gapped_conflicts |= {(s, uids[int(gaps.integers(n))]) for s in strays}
-        gapped_conflicts |= {(uids[int(gaps.integers(n))], s) for s in strays}
+        gapped_conflicts = {
+            (uids[a], uids[b]) if gaps.random() < 0.5 else (uids[b], uids[a]) for a, b in conflicts
+        }
         got = select_alliances(gapped, conflicts_from_pairs(uids, gapped_conflicts))
-        plain = select_alliances(cands, conflicts_from_pairs(range(n), conflicts))
         assert [c.uid for c in got] == [uids[c.uid] for c in plain]
         assert sum(candidate_value(c) for c in got) == _brute_force_select(gapped, gapped_conflicts)
+        # A uid that no candidate has (in a gap, below the smallest, above
+        # the largest) makes the relation fit no longer.
+        stray = next(int(s) for s in gaps.integers(0, uids[-1] + 6, 100) if s not in uids)
+        with pytest.raises(ValueError, match=f"candidate uid {stray} is not an accepted candidate"):
+            select_alliances(gapped, conflicts_from_pairs(uids + [stray], gapped_conflicts))
 
 
 def test_group_market_selection_golden():

@@ -158,6 +158,7 @@ def test_dimacs_malformed_rejected(tmp_path):
         ("p edge 2 1\ne 2 2\n", "line 2: self-loop on node 2"),
         ("p edge 2 0\nn 1 0\n", "line 2: node weight 0 below 1"),
         ("p edge 2 0\nn 2 1\nn 1 -4\n", "line 3: node weight -4 below 1"),
+        ("p edge 2 1\ne 1 2\np edge 4 0\nn 4 9\n", "line 3: second problem line 'p edge 4 0'"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):

@@ -259,6 +259,20 @@ def test_config_validation(tmp_path, capsys):
     with pytest.raises(ConfigError, match="partition.n_dc"):
         ScenarioConfig(blobs=blobs, partition=over)
     ScenarioConfig(scenario="restricted", blobs=blobs, partition=over)
+    # A fedcdc config under which no alliance can ever form used to run as
+    # restricted; it fails at load. Any two consumers share exactly the
+    # n_c // 2 shared labels and both bid on exactly owner group 0's owners.
+    one_consumer = dataclasses.replace(tiny_cfg().partition, n_dc=1, n_do=12)
+    for overrides, message in [
+        ({"partition": one_consumer}, "partition.n_dc=1: an alliance needs 2 consumers"),
+        ({"min_shared_labels": 3}, "min_shared_labels=3 exceeds the 2 labels any two consumers share"),
+        ({"min_shared_owners": 7}, "min_shared_owners=7 exceeds the 6 owners any two consumers"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            tiny_cfg("fedcdc", **overrides)
+        for scenario in ("restricted", "unrestricted"):
+            tiny_cfg(scenario, **overrides)
+    tiny_cfg("fedcdc", min_shared_labels=2, min_shared_owners=6)
 
 
 def test_gap_ratio_undefined_when_scenarios_tie():
