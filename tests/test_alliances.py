@@ -204,7 +204,7 @@ def test_offer_conflict_pairs_survive_individually():
         assert set(conflicts) == {(u1, u2)}
     # Candidates come in uid order; a rotated list is rejected before any offer.
     with pytest.raises(ValueError, match=f"uid {cands[0].uid} follows {cands[-1].uid}"):
-        offer_and_collect(cands[1:] + cands[:1], consumers, reject_pair)
+        offer_and_collect(cands[1:] + cands[:1], consumers, lambda *_: pytest.fail("offered"))
 
 
 def test_offer_unknown_uid_response_discarded(caplog):
