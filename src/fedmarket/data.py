@@ -145,6 +145,25 @@ class PartitionSizes:
             + -(-self.public_size // num_classes)
         )
 
+    def check_capacity(self, counts: np.ndarray, key: str) -> None:
+        """``counts`` samples per class fill the partition at any seed, or a ConfigError names ``key``."""
+        if len(counts) < self.classes_needed:
+            raise ConfigError(
+                f"{key}: {len(counts)} classes, below the {self.classes_needed} "
+                f"the partition's owner groups hold"
+            )
+        check_class_counts(counts, self.per_class_demand(len(counts)), key)
+
+
+def check_class_counts(counts: np.ndarray, need: int, key: str) -> None:
+    """Every class holds ``need`` samples, or a ConfigError names ``key`` and the class."""
+    if (short := np.flatnonzero(counts < need)).size:
+        c = int(short[0])
+        raise ConfigError(
+            f"{key}: class {c} has {counts[c]} samples, below the {need} "
+            f"the scenario can draw from one class"
+        )
+
 
 @dataclass(frozen=True)
 class MarketPartition:
@@ -215,10 +234,7 @@ def build_market_partition(
     Group-0 owners hold only shared classes; group-i owners hold only consumer
     i-1's unique classes. Every shard is class-balanced.
     """
-    if base.num_classes < sizes.classes_needed:
-        raise ConfigError(
-            f"base dataset has {base.num_classes} classes, construction needs {sizes.classes_needed}"
-        )
+    sizes.check_capacity(np.bincount(base.labels, minlength=base.num_classes), "base dataset")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(base.num_classes)
     shared = frozenset(int(c) for c in perm[: sizes.n_shared])
@@ -290,19 +306,16 @@ def take_class_balanced(
     return _gather(base, _draw_balanced(_class_pools(base, rng), frozenset(labels), total))
 
 
-def load_idx(
-    images_path: str | Path, labels_path: str | Path, num_classes: int | None = None
-) -> LabeledDataset:
+def load_idx(images_path: str | Path, labels_path: str | Path) -> LabeledDataset:
     """Load an IDX image/label file pair; pixels scaled to [0, 1] and flattened."""
     images = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, "label")
     if len(images) != len(labels):
         raise IdxParseError(f"{images_path}: {len(images)} images but {len(labels)} labels")
     feats = images.reshape(len(images), math.prod(images.shape[1:])).astype(float) / 255.0
-    if num_classes is None and len(labels) == 0:
+    if len(labels) == 0:
         raise IdxParseError(f"{labels_path}: no labels to infer the class count from")
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    return LabeledDataset(feats, labels.astype(np.int64), k)
+    return LabeledDataset(feats, labels.astype(np.int64), int(labels.max()) + 1)
 
 
 def _read_idx(path: Path, magic: int, kind: str) -> np.ndarray:

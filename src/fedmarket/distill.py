@@ -48,8 +48,8 @@ class DistillConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -156,8 +156,6 @@ def distill_train(
         raise ValueError("public distillation set is empty")
     target_index = student.active_index
     contrib = contributor_masks(teachers, target_index)
-    if cfg.epochs == 0:
-        return student
     p_pool = teacher_targets(teachers, contrib, public.features, weighting, target_index)
     opt = init_adam(student.flat, lr=cfg.lr)
     for (idx,) in batch_schedule(n, cfg.epochs, cfg.batch_size, [rng]):

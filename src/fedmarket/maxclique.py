@@ -123,7 +123,8 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
 
     A record without exactly two integer fields, a second problem line, a
     negative node count, a node id outside ``1..n``, a self-loop or a node
-    weight below 1 is rejected with an error naming its line.
+    weight below 1 is rejected with an error naming its line, and so is a
+    problem line whose ``m`` is not the number of ``e`` records.
     """
     n: int | None = None
     records: list[tuple[int, str, int, int]] = []
@@ -145,7 +146,7 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
                 raise ValueError(f"line {lineno}: second problem line {line!r}")
             if a < 0:
                 raise ValueError(f"line {lineno}: negative node count {a}")
-            n = a
+            n, m, p_lineno = a, b, lineno
         else:
             records.append((lineno, kind, a, b))
     if n is None:
@@ -163,4 +164,6 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
             weights[a - 1] = b
         else:
             adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
+    if (edges := sum(kind == "e" for _, kind, _, _ in records)) != m:
+        raise ValueError(f"line {p_lineno}: problem line declares {m} edges, the file has {edges}")
     return WeightedGraph(weights, adj)

@@ -206,7 +206,7 @@ def test_partition_insufficient_samples_names_class():
 def test_partition_needs_enough_classes():
     spec = paper_sizes()
     base = gen_blobs(6, 4, 500, 1.0, 6)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="base dataset: 6 classes, below the 8"):
         build_market_partition(spec, base, 0)
 
 
@@ -220,9 +220,11 @@ def test_partition_needs_enough_classes():
     public_size=st.integers(0, 30),
     spare_classes=st.integers(0, 3),
     seed=st.integers(0, 2**16),
+    data=st.data(),
 )
 def test_per_class_demand_bounds_every_class_draw(
-    n_dc, owners_per_group, n_shared, samples_per_do, samples_per_val, public_size, spare_classes, seed
+    n_dc, owners_per_group, n_shared, samples_per_do, samples_per_val, public_size, spare_classes, seed,
+    data,
 ):
     sizes = PartitionSizes(
         n_dc, owners_per_group * (n_dc + 1), 2 * n_shared, samples_per_do, samples_per_val, public_size
@@ -239,6 +241,13 @@ def test_per_class_demand_bounds_every_class_draw(
     # its rounded-up share or one less
     shards = owners_per_group + n_dc + (public_size > 0)
     assert need - shards <= drawn.max() <= need
+    # One sample fewer of any class fails before the draw, whether or not
+    # this seed would share that class.
+    short = data.draw(st.integers(0, k - 1), label="short")
+    labels = np.repeat(np.arange(k), need - (np.arange(k) == short))
+    base = LabeledDataset(np.zeros((len(labels), 1)), labels, k)
+    with pytest.raises(ConfigError, match=f"base dataset: class {short} has {need - 1} samples, below the {need} "):
+        build_market_partition(sizes, base, seed)
 
 
 def test_take_class_balanced():
@@ -271,7 +280,7 @@ def test_idx_scales_pixels_to_unit_interval(tmp_path):
     images = np.full((1, 2, 2), 255, dtype=np.uint8)
     labels = np.array([0], dtype=np.uint8)
     img, lbl = write_idx_pair(tmp_path, images, labels)
-    ds = load_idx(img, lbl, num_classes=2)
+    ds = load_idx(img, lbl)
     assert (ds.features == 1.0).all()
 
 
@@ -289,9 +298,6 @@ def test_idx_empty_without_num_classes_rejected(tmp_path):
     img, lbl = write_idx_pair(tmp_path, images, labels)
     with pytest.raises(IdxParseError, match=r"labels\.idx: no labels to infer the class count from"):
         load_idx(img, lbl)
-    # Given the class count, zero images load as an empty dataset.
-    empty = load_idx(img, lbl, num_classes=3)
-    assert len(empty) == 0 and empty.num_classes == 3
 
 
 def test_idx_bad_magic_reports_offset(tmp_path):

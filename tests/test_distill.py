@@ -241,22 +241,17 @@ def test_distill_fixed_point_keeps_student():
 
 
 def test_distill_zero_epochs_noop():
+    # A zero-epoch call would leave the student as it is, so there is none.
+    with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+        DistillConfig(alpha=1.0, epochs=0)
     train, _, pub = _blob_setup()
-    teacher = _train_teacher(train)
-    student = init_mlp(train.dim, [16], 4, {0, 1, 2, 3}, np.random.default_rng(5))
-    before = student.flat.copy()
-    cfg = DistillConfig(alpha=1.0, epochs=0)
-    distill_train(student, [teacher], pub, cfg, np.random.default_rng(0))
-    assert np.array_equal(before, student.flat)
-    # The teachers are checked even when no epoch runs.
     narrow = init_mlp(train.dim, [16], 4, {0, 1}, np.random.default_rng(6))
     disjoint = init_mlp(train.dim, [16], 4, {2}, np.random.default_rng(7))
-    for epochs in (0, 1):
-        cfg = DistillConfig(alpha=1.0, epochs=epochs)
-        with pytest.raises(ValueError, match="at least one teacher"):
-            distill_train(narrow, [], pub, cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="shares no labels"):
-            distill_train(narrow, [disjoint], pub, cfg, np.random.default_rng(0))
+    cfg = DistillConfig(alpha=1.0, epochs=1)
+    with pytest.raises(ValueError, match="at least one teacher"):
+        distill_train(narrow, [], pub, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="shares no labels"):
+        distill_train(narrow, [disjoint], pub, cfg, np.random.default_rng(0))
 
 
 def test_distill_transfers_knowledge():
@@ -312,6 +307,10 @@ def _overlapping_setup(n_rows):
 
 @pytest.mark.parametrize("epochs", [0, 1, 3])
 def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
+    if epochs == 0:  # no call builds no table: the config rejects it
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            DistillConfig(0.5, epochs, 32, 0.01)
+        return
     pub, teachers, student = _overlapping_setup(197)
     calls = []
     table_calls = []
@@ -328,12 +327,10 @@ def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
     monkeypatch.setattr(distill, "teacher_targets", counted_table)
     distill_train(student, teachers, pub, DistillConfig(0.5, epochs, 32, 0.01),
                   np.random.default_rng(64))
-    # No epoch, no table: the teachers are only checked.
-    tables = 1 if epochs else 0
-    assert table_calls == [197] * tables
+    assert table_calls == [197]
     # One forward per teacher per table, over the whole pool.
-    assert calls == [197] * (tables * len(teachers))
-    assert sum(calls) == tables * len(teachers) * 197
+    assert calls == [197] * len(teachers)
+    assert sum(calls) == len(teachers) * 197
 
 
 def _oracle_distill_train(student, teachers, weighting, public, alpha, epochs, batch_size, lr, rng):
@@ -417,7 +414,7 @@ def test_batched_weights_match_single_sample_op():
 def test_config_validation():
     with pytest.raises(ValueError):
         DistillConfig(alpha=1.5)
-    with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="epochs must be >= 1, got -1"):
         DistillConfig(epochs=-1)
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         DistillConfig(batch_size=0)

@@ -159,6 +159,9 @@ def test_dimacs_malformed_rejected(tmp_path):
         ("p edge 2 0\nn 1 0\n", "line 2: node weight 0 below 1"),
         ("p edge 2 0\nn 2 1\nn 1 -4\n", "line 3: node weight -4 below 1"),
         ("p edge 2 1\ne 1 2\np edge 4 0\nn 4 9\n", "line 3: second problem line 'p edge 4 0'"),
+        # truncated after its first edge: read as is, the weight-5 node alone wins
+        ("p edge 3 3\nn 1 1\nn 2 1\nn 3 5\ne 1 2\n", "line 1: problem line declares 3 edges, the file has 1"),
+        ("p edge 2 0\ne 1 2\n", "line 1: problem line declares 0 edges, the file has 1"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):

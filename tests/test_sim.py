@@ -183,6 +183,8 @@ def test_config_validation(tmp_path, capsys):
         ({"budget_share": -1.0}, "budget_share must be finite and >= 0, got -1.0"),
         ({"dc_budget": -1.0}, "dc_budget must be finite and >= 0, got -1.0"),
         ({"seed": -3}, "seed must be >= 0, got -3"),
+        # a fedcdc participant's global model learns only by distillation
+        ({"distill": {"epochs": 0}}, "'distill': epochs must be >= 1, got 0"),
         # blob values that would fail only in data generation or in training
         ({"blobs": {"spread": float("nan")}}, "'blobs': spread must be finite and >= 0, got nan"),
         ({"blobs": {"spread": float("inf")}}, "'blobs': spread must be finite and >= 0, got inf"),
@@ -206,8 +208,8 @@ def test_config_validation(tmp_path, capsys):
         # 9 consumers' group-0 owners and validation shards take 45 + 45 samples
         # of a shared class, and the public pool 5 of every class
         ({"blobs": {"dim": 8, "num_classes": 20, "per_class": 60}, "partition": nine_consumers},
-         "blobs.per_class=60 is below 95, the most samples"),
-        ({"blobs": {"num_classes": 7}}, "blobs.num_classes=7 is below the 8 classes"),
+         "blobs: class 0 has 60 samples, below the 95"),
+        ({"blobs": {"num_classes": 7}}, "blobs: 7 classes, below the 8"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
@@ -218,7 +220,7 @@ def test_config_validation(tmp_path, capsys):
     smallest = {"n_dc": 1, "n_do": 2, "n_c": 2, "samples_per_do": 1, "samples_per_val": 1, "public_size": 0}
     doc = {"scenario": "restricted", "partition": smallest}
     config_from_dict({**doc, "blobs": {"dim": 2, "num_classes": 4, "per_class": 2, "spread": 0}})
-    with pytest.raises(ConfigError, match="blobs.per_class=1 is below 2"):
+    with pytest.raises(ConfigError, match="blobs: class 0 has 1 samples, below the 2"):
         config_from_dict({**doc, "blobs": {"dim": 2, "num_classes": 4, "per_class": 1, "spread": 0}})
     config_from_dict({"blobs": {"dim": 63}})
     for scenario in ("restricted", "unrestricted"):  # FedAvg distils nothing
