@@ -307,7 +307,7 @@ def _overlapping_setup(n_rows):
 
 @pytest.mark.parametrize("epochs", [0, 1, 3])
 def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
-    if epochs == 0:  # no call builds no table: the config rejects it
+    if epochs == 0:  # rejected by the config, so every call builds its table
         with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
             DistillConfig(0.5, epochs, 32, 0.01)
         return
