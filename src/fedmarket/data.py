@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_rules
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -73,20 +73,17 @@ class BlobSpec:
     spread: float = 1.0
 
     def __post_init__(self) -> None:
-        # Each class mean is a distinct vertex of the dim-cube.
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if self.dim > MAX_BLOB_DIM:
-            raise ConfigError(f"dim must be <= {MAX_BLOB_DIM}, got {self.dim}")
+        # Each class mean is a distinct vertex of the dim-cube, and
         # (num_classes - 1).bit_length() <= dim is num_classes <= 2**dim.
-        if self.num_classes < 2 or (self.num_classes - 1).bit_length() > self.dim:
-            raise ConfigError(
-                f"num_classes must be in 2..2**dim for dim={self.dim}, got {self.num_classes}"
-            )
-        if self.per_class < 1:
-            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
-        if not (math.isfinite(self.spread) and self.spread >= 0):
-            raise ConfigError(f"spread must be finite and >= 0, got {self.spread}")
+        check_rules([
+            (self.dim < 2, f"dim must be >= 2, got {self.dim}"),
+            (self.dim > MAX_BLOB_DIM, f"dim must be <= {MAX_BLOB_DIM}, got {self.dim}"),
+            (self.num_classes < 2 or (self.num_classes - 1).bit_length() > self.dim,
+             f"num_classes must be in 2..2**dim for dim={self.dim}, got {self.num_classes}"),
+            (self.per_class < 1, f"per_class must be >= 1, got {self.per_class}"),
+            (not (math.isfinite(self.spread) and self.spread >= 0),
+             f"spread must be finite and >= 0, got {self.spread}"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -106,17 +103,18 @@ class PartitionSizes:
     public_size: int = 5000
 
     def __post_init__(self) -> None:
-        if self.n_dc < 1 or self.n_do < 1:
-            raise ConfigError(f"n_dc={self.n_dc} and n_do={self.n_do} must both be >= 1")
-        if self.n_c < 2 or self.n_c % 2 != 0:
-            raise ConfigError(f"n_c must be a positive even number, got {self.n_c}")
-        if self.n_do % (self.n_dc + 1) != 0:
-            raise ConfigError(
-                f"n_do={self.n_do} must divide into {self.n_dc + 1} equal owner groups"
-            )
-        for key, least in (("samples_per_do", 1), ("samples_per_val", 1), ("public_size", 0)):
-            if (n := getattr(self, key)) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {n}")
+        # Every row is evaluated, so the group rule guards its n_dc + 1 divisor.
+        check_rules([
+            (self.n_dc < 1 or self.n_do < 1,
+             f"n_dc={self.n_dc} and n_do={self.n_do} must both be >= 1"),
+            (self.n_c < 2 or self.n_c % 2 != 0,
+             f"n_c must be a positive even number, got {self.n_c}"),
+            (self.n_dc >= 1 and self.n_do % (self.n_dc + 1) != 0,
+             f"n_do={self.n_do} must divide into {self.n_dc + 1} equal owner groups"),
+            (self.samples_per_do < 1, f"samples_per_do must be >= 1, got {self.samples_per_do}"),
+            (self.samples_per_val < 1, f"samples_per_val must be >= 1, got {self.samples_per_val}"),
+            (self.public_size < 0, f"public_size must be >= 0, got {self.public_size}"),
+        ])
 
     @property
     def n_shared(self) -> int:

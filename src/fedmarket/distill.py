@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import UnlabeledDataset
+from .errors import check_rules
 from .nn import (
     Mlp,
     PROB_FLOOR,
@@ -46,14 +47,13 @@ class DistillConfig:
     lr: float = 0.001
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        check_rules([
+            (not 0.0 <= self.alpha <= 1.0, f"alpha must lie in [0, 1], got {self.alpha}"),
+            (self.epochs < 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.batch_size < 1, f"batch_size must be >= 1, got {self.batch_size}"),
+            (not (math.isfinite(self.lr) and self.lr > 0),
+             f"lr must be finite and > 0, got {self.lr}"),
+        ])
 
 
 def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
 from .distill import DistillConfig, distill_train, uniform_weights
+from .errors import check_rules
 from .market import DataOwner
 from .nn import Mlp, batch_schedule, forward, init_adam, replicate, train_step, unstack
 
@@ -23,11 +24,11 @@ class FLRoundConfig:
     lr: float = 0.001
 
     def __post_init__(self) -> None:
-        for key in ("local_epochs", "distill_epochs"):
-            if (n := getattr(self, key)) < 1:
-                raise ValueError(f"{key} must be >= 1, got {n}")
-        if self.method not in ("fedavg", "feddf"):
-            raise ValueError(f"unknown aggregation method {self.method!r}")
+        check_rules([
+            (self.local_epochs < 1, f"local_epochs must be >= 1, got {self.local_epochs}"),
+            (self.distill_epochs < 1, f"distill_epochs must be >= 1, got {self.distill_epochs}"),
+            (self.method not in ("fedavg", "feddf"), f"unknown aggregation method {self.method!r}"),
+        ])
         self.feddf_distill()  # checks batch_size and lr
 
     def feddf_distill(self) -> DistillConfig:

@@ -124,7 +124,9 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
     A record without exactly two integer fields, a second problem line, a
     negative node count, a node id outside ``1..n``, a self-loop or a node
     weight below 1 is rejected with an error naming its line, and so is a
-    problem line whose ``m`` is not the number of ``e`` records.
+    problem line whose ``m`` is not the number of ``e`` records. An ``e``
+    record that repeats an edge, in either orientation, is rejected naming
+    its line and the earlier one, so ``m`` also counts the distinct edges.
     """
     n: int | None = None
     records: list[tuple[int, str, int, int]] = []
@@ -153,6 +155,7 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
         raise ValueError(f"{path}: missing 'p edge' line")
     weights = [1] * n
     adj = np.zeros((n, n), dtype=bool)
+    edge_lines: dict[tuple[int, int], int] = {}
     for lineno, kind, a, b in records:
         if not 1 <= a <= n or (kind == "e" and not 1 <= b <= n):
             raise ValueError(f"line {lineno}: node id outside 1..{n}")
@@ -162,8 +165,10 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
             raise ValueError(f"line {lineno}: node weight {b} below 1")
         if kind == "n":
             weights[a - 1] = b
+        elif (first := edge_lines.setdefault((min(a, b), max(a, b)), lineno)) != lineno:
+            raise ValueError(f"line {lineno}: edge {a} {b} repeats line {first}")
         else:
             adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
-    if (edges := sum(kind == "e" for _, kind, _, _ in records)) != m:
+    if (edges := len(edge_lines)) != m:
         raise ValueError(f"line {p_lineno}: problem line declares {m} edges, the file has {edges}")
     return WeightedGraph(weights, adj)

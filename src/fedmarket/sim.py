@@ -33,7 +33,7 @@ from .data import (
     take_class_balanced,
 )
 from .distill import DistillConfig, distill_train
-from .errors import ConfigError
+from .errors import ConfigError, check_rules
 from .fed import FLRoundConfig, evaluate, run_fl_round
 from .market import (
     BID,
@@ -94,81 +94,57 @@ class ScenarioConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.mechanism not in MECHANISMS:
-            raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
+        sizes, share, budget = self.partition, self.budget_share, self.dc_budget
+        fedcdc, first_price = self.scenario == "fedcdc", self.mechanism == "first_price"
         # min_shared_owners=0 admits candidates of value 0, which the
         # max-clique solver would refuse only at the first alliance pass.
         counts = [(k, getattr(self, k)) for k in (
             "rounds", "matching_period", "history_span", "samples_per_test", "min_shared_owners"
         )]
         counts += [(f"hidden_dims[{i}]", d) for i, d in enumerate(self.hidden_dims)]
-        for key, n in counts:
-            if n < 1:
-                raise ConfigError(f"{key} must be >= 1, got {n}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.scenario == "fedcdc" and not 0 <= self.alliance_start < self.rounds:
-            raise ConfigError(
-                f"alliance_start={self.alliance_start} must fall inside the {self.rounds} rounds"
-            )
-        if self.scenario == "fedcdc" and self.history_span > self.matching_period:
-            raise ConfigError(
-                f"history_span={self.history_span} exceeds matching_period="
-                f"{self.matching_period}: bids from before an alliance formed would "
-                f"still be in the window at the next creation pass and propose stale "
-                f"sub-coalitions"
-            )
-        for key in ("budget_share", "dc_budget"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-        if self.mechanism == "first_price" and self.dc_budget < BID:
-            raise ConfigError(
-                f"dc_budget={self.dc_budget} is below the first_price bid of "
-                f"{BID}: no consumer could ever win an owner"
-            )
-        if self.scenario == "fedcdc" and self.budget_share > self.dc_budget:
-            raise ConfigError(
-                f"budget_share={self.budget_share} exceeds dc_budget={self.dc_budget}: "
-                f"no participant could pay its share, so no alliance would ever form"
-            )
-        if self.scenario == "fedcdc" and self.mechanism == "first_price":
-            if 2 * self.budget_share < BID:
-                raise ConfigError(
-                    f"budget_share={self.budget_share}: a two-consumer alliance pools "
-                    f"{2 * self.budget_share}, below the first_price bid of {BID}, "
-                    f"so it could never win an owner"
-                )
-            if self.dc_budget - self.budget_share < BID:
-                raise ConfigError(
-                    f"budget_share={self.budget_share} leaves a participant "
-                    f"{self.dc_budget - self.budget_share} of dc_budget={self.dc_budget}, "
-                    f"below the first_price bid of {BID}, so it could never win an owner"
-                )
-        sizes = self.partition
-        if self.scenario == "fedcdc" and sizes.n_dc > MAX_ENUMERABLE_CONSUMERS:
-            raise ConfigError(
-                f"partition.n_dc={sizes.n_dc} exceeds the alliance "
-                f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)"
-            )
         # Any two consumers share exactly the shared block's labels and both
         # bid on exactly owner group 0's owners.
         labels, owners = self.min_shared_labels, self.min_shared_owners
-        for never, why in [
-            (sizes.n_dc < 2, f"partition.n_dc={sizes.n_dc}: an alliance needs 2 consumers"),
-            (labels > sizes.n_shared, f"min_shared_labels={labels} exceeds the "
-             f"{sizes.n_shared} labels any two consumers share (partition.n_c // 2)"),
-            (owners > sizes.owners_per_group, f"min_shared_owners={owners} exceeds the "
-             f"{sizes.owners_per_group} owners any two consumers both bid on (owner group 0)"),
-        ]:
-            if self.scenario == "fedcdc" and never:
-                raise ConfigError(f"{why}, so no alliance would ever form")
-        if (self.scenario == "fedcdc" or self.fl.method == "feddf") and sizes.public_size < 1:
-            raise ConfigError(
-                f"partition.public_size={sizes.public_size} leaves no public data to distil on"
-            )
+        never = ", so no alliance would ever form"
+        check_rules([
+            (self.scenario not in SCENARIOS,
+             f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"),
+            (self.mechanism not in MECHANISMS,
+             f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}"),
+            *((n < 1, f"{key} must be >= 1, got {n}") for key, n in counts),
+            (self.seed < 0, f"seed must be >= 0, got {self.seed}"),
+            (fedcdc and not 0 <= self.alliance_start < self.rounds,
+             f"alliance_start={self.alliance_start} must fall inside the {self.rounds} rounds"),
+            (fedcdc and self.history_span > self.matching_period,
+             f"history_span={self.history_span} exceeds matching_period={self.matching_period}: "
+             f"bids from before an alliance formed would still be in the window at the next "
+             f"creation pass and propose stale sub-coalitions"),
+            *((not (math.isfinite(v) and v >= 0), f"{key} must be finite and >= 0, got {v}")
+              for key, v in [("budget_share", share), ("dc_budget", budget)]),
+            (first_price and budget < BID,
+             f"dc_budget={budget} is below the first_price bid of {BID}: "
+             f"no consumer could ever win an owner"),
+            (fedcdc and share > budget,
+             f"budget_share={share} exceeds dc_budget={budget}: "
+             f"no participant could pay its share{never}"),
+            (fedcdc and first_price and 2 * share < BID,
+             f"budget_share={share}: a two-consumer alliance pools {2 * share}, "
+             f"below the first_price bid of {BID}, so it could never win an owner"),
+            (fedcdc and first_price and budget - share < BID,
+             f"budget_share={share} leaves a participant {budget - share} of dc_budget={budget}, "
+             f"below the first_price bid of {BID}, so it could never win an owner"),
+            (fedcdc and sizes.n_dc > MAX_ENUMERABLE_CONSUMERS,
+             f"partition.n_dc={sizes.n_dc} exceeds the alliance "
+             f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)"),
+            (fedcdc and sizes.n_dc < 2,
+             f"partition.n_dc={sizes.n_dc}: an alliance needs 2 consumers{never}"),
+            (fedcdc and labels > sizes.n_shared, f"min_shared_labels={labels} exceeds the "
+             f"{sizes.n_shared} labels any two consumers share (partition.n_c // 2){never}"),
+            (fedcdc and owners > sizes.owners_per_group, f"min_shared_owners={owners} exceeds the "
+             f"{sizes.owners_per_group} owners any two consumers both bid on (owner group 0){never}"),
+            ((fedcdc or self.fl.method == "feddf") and sizes.public_size < 1,
+             f"partition.public_size={sizes.public_size} leaves no public data to distil on"),
+        ])
         if self.idx is None:  # an idx dataset's class counts are checked once read
             sizes.check_capacity(np.full(self.blobs.num_classes, self.blobs.per_class), "blobs")
 
@@ -199,7 +175,7 @@ def _build(cls: type, doc: object, prefix: str) -> object:
     kwargs = {name: _typed(value, hints[name], prefix + name) for name, value in doc.items()}
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except ConfigError as exc:
         if not prefix:
             raise
         raise ConfigError(f"config section {prefix[:-1]!r}: {exc}") from exc

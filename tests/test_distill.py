@@ -16,6 +16,7 @@ from fedmarket.distill import (
     teacher_targets,
     uniform_weights,
 )
+from fedmarket.errors import ConfigError
 from fedmarket.fed import evaluate
 from fedmarket.nn import (
     adam_step,
@@ -414,6 +415,8 @@ def test_batched_weights_match_single_sample_op():
 def test_config_validation():
     with pytest.raises(ValueError):
         DistillConfig(alpha=1.5)
+    with pytest.raises(ConfigError, match=r"alpha must lie in \[0, 1\], got 2.0"):
+        DistillConfig(alpha=2.0)
     with pytest.raises(ValueError, match="epochs must be >= 1, got -1"):
         DistillConfig(epochs=-1)
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):

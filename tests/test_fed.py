@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fedmarket import nn
 from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs
 from fedmarket.distill import contributor_masks, teacher_targets, uniform_weights
+from fedmarket.errors import ConfigError
 from fedmarket.fed import (
     FLRoundConfig,
     evaluate,
@@ -371,3 +372,11 @@ def test_config_validation():
     for lr in (0.0, -0.001, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             FLRoundConfig(lr=lr)
+    # like every config section, a ConfigError (a ValueError) naming the rule
+    for kwargs, message in [
+        ({"local_epochs": 0}, "local_epochs must be >= 1, got 0"),
+        ({"method": "x"}, "unknown aggregation method 'x'"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            FLRoundConfig(**kwargs)

@@ -162,6 +162,9 @@ def test_dimacs_malformed_rejected(tmp_path):
         # truncated after its first edge: read as is, the weight-5 node alone wins
         ("p edge 3 3\nn 1 1\nn 2 1\nn 3 5\ne 1 2\n", "line 1: problem line declares 3 edges, the file has 1"),
         ("p edge 2 0\ne 1 2\n", "line 1: problem line declares 0 edges, the file has 1"),
+        # one edge named twice: read as is, it passed as 2 edges
+        ("p edge 2 2\ne 1 2\ne 2 1\n", "line 3: edge 2 1 repeats line 2"),
+        ("p edge 3 3\ne 1 2\nc\ne 2 3\ne 1 2\n", "line 5: edge 1 2 repeats line 2"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):

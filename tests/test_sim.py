@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +20,9 @@ from fedmarket import cli, sim
 from fedmarket.alliances import MAX_ENUMERABLE_CONSUMERS, DCResponse, default_policy
 from fedmarket.cli import main as cli_main
 from fedmarket.data import build_market_partition, gen_blobs
-from fedmarket.errors import ConfigError
+from fedmarket.distill import DistillConfig
+from fedmarket.errors import ConfigError, check_rules
+from fedmarket.fed import FLRoundConfig
 from fedmarket.market import BID
 from fedmarket.maxclique import WeightedGraph
 from fedmarket.nn import clone_model
@@ -90,6 +94,19 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"fl": {"epochs": 3}})
     with pytest.raises(ConfigError, match="unknown config key 'blobs.scale'"):
         config_from_dict({"blobs": {"scale": 1.0}})
+
+
+def test_check_rules_raises_the_first_broken_rule():
+    check_rules([])
+    check_rules([(False, "a"), (False, "b")])
+    with pytest.raises(ConfigError, match="^b$"):
+        check_rules([(False, "a"), (True, "b"), (True, "c")])
+
+
+def test_config_sections_state_their_load_rules_as_one_table():
+    """A section's load rules are rows for ``check_rules``, which holds the one raise."""
+    for section in (ScenarioConfig, BlobSpec, PartitionSizes, FLRoundConfig, DistillConfig):
+        assert "raise" not in inspect.getsource(section.__post_init__), section.__name__
 
 
 def test_config_validation(tmp_path, capsys):
@@ -210,6 +227,20 @@ def test_config_validation(tmp_path, capsys):
         ({"blobs": {"dim": 8, "num_classes": 20, "per_class": 60}, "partition": nine_consumers},
          "blobs: class 0 has 60 samples, below the 95"),
         ({"blobs": {"num_classes": 7}}, "blobs: 7 classes, below the 8"),
+        ({"matching_period": 0}, "matching_period must be >= 1, got 0"),
+        ({"scenario": "ideal"},
+         re.escape("scenario must be one of ('unrestricted', 'restricted', 'fedcdc'), got 'ideal'")),
+        ({"mechanism": "vcg"},
+         re.escape("mechanism must be one of ('partition', 'first_price'), got 'vcg'")),
+        ({"partition": {"n_dc": MAX_ENUMERABLE_CONSUMERS + 1, "n_do": MAX_ENUMERABLE_CONSUMERS + 2}},
+         re.escape(f"partition.n_dc={MAX_ENUMERABLE_CONSUMERS + 1} exceeds the alliance "
+                   f"subset-enumeration guard ({MAX_ENUMERABLE_CONSUMERS} consumers)")),
+        ({"mechanism": "first_price", "dc_budget": 24.0, "budget_share": 0.4},
+         re.escape("budget_share=0.4: a two-consumer alliance pools 0.8, below the first_price "
+                   "bid of 1.0, so it could never win an owner")),
+        # each rule is checked even past a broken one: n_do % (n_dc + 1) must not divide by 0
+        ({"partition": {"n_dc": -1}}, "'partition': n_dc=-1 and n_do=24 must both be >= 1"),
+        ({"partition": {"n_dc": 0}}, "'partition': n_dc=0 and n_do=24 must both be >= 1"),
     ]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
