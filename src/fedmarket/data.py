@@ -50,18 +50,6 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class UnlabeledDataset:
-    features: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise ValueError("features must be a (n, d) matrix")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
 @dataclass
 class BlobSpec:
     """Synthetic Gaussian-cluster data source, the ``blobs`` config section;
@@ -171,7 +159,7 @@ class MarketPartition:
     do_shards: list[LabeledDataset]
     dc_label_sets: list[frozenset[int]]
     dc_val_shards: list[LabeledDataset]
-    public: UnlabeledDataset
+    public: np.ndarray
 
 
 def gen_blobs(
@@ -258,9 +246,7 @@ def build_market_partition(
 
     idx = _draw_balanced(pools, frozenset(range(base.num_classes)), sizes.public_size)
     order = rng.permutation(len(idx))
-    public = UnlabeledDataset(base.features[idx[order]])
-
-    return MarketPartition(do_shards, dc_label_sets, dc_val_shards, public)
+    return MarketPartition(do_shards, dc_label_sets, dc_val_shards, base.features[idx[order]])
 
 
 def _class_pools(base: LabeledDataset, rng: np.random.Generator) -> dict[int, np.ndarray]:

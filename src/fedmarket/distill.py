@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import UnlabeledDataset
 from .errors import check_rules
 from .nn import (
     Mlp,
@@ -63,7 +62,7 @@ def contributor_masks(teachers: Sequence[Mlp], target_index: np.ndarray) -> np.n
     """
     if not teachers:
         raise ValueError("ensemble needs at least one teacher")
-    masks = np.stack([t.active_mask[target_index] for t in teachers])
+    masks = np.stack([np.isin(target_index, t.active_index) for t in teachers])
     if not masks.any(axis=1).all():
         raise ValueError("a teacher shares no labels with the student")
     cover = masks.any(axis=0)
@@ -104,17 +103,15 @@ def combine_teachers(z: np.ndarray, weights: np.ndarray, contrib: np.ndarray) ->
 
 
 def teacher_targets(
-    teachers: Sequence[Mlp],
-    contrib: np.ndarray,
-    x: np.ndarray,
-    weighting: Weighting,
-    target_index: np.ndarray,
+    teachers: Sequence[Mlp], x: np.ndarray, weighting: Weighting, target_index: np.ndarray
 ) -> np.ndarray:
     """The ensemble's target distribution p_t over the target positions, one row per sample.
 
-    Each teacher forwards all of ``x`` in one call. Their target columns form
-    one ``(n_teachers, n, n_targets)`` table, and the rest is row-wise.
+    The teachers' :func:`contributor_masks` are checked first. Each teacher
+    forwards all of ``x`` in one call. Their target columns form one
+    ``(n_teachers, n, n_targets)`` table, and the rest is row-wise.
     """
+    contrib = contributor_masks(teachers, target_index)
     z = np.stack([forward(t, x)[:, target_index] for t in teachers])
     return softmax(combine_teachers(z, weighting(z, contrib), contrib), slice(None))
 
@@ -137,16 +134,16 @@ def distill_loss_grad(p_s: np.ndarray, p_t: np.ndarray, alpha: float) -> np.ndar
 def distill_train(
     student: Mlp,
     teachers: Sequence[Mlp],
-    public: UnlabeledDataset,
+    public: np.ndarray,
     cfg: DistillConfig,
     rng: np.random.Generator,
     weighting: Weighting = entropy_weights,
 ) -> Mlp:
     """Minibatch distillation of ``student``, in place, against frozen ``teachers``.
 
-    Runs ``cfg.epochs`` passes over ``public``, each in a fresh ``rng``
-    permutation, with one Adam step per batch, and returns the student.
-    ``weighting`` is FedCDC's :func:`entropy_weights` or FedDF's
+    Runs ``cfg.epochs`` passes over the ``(n, d)`` pool ``public``, each in a
+    fresh ``rng`` permutation, with one Adam step per batch, and returns the
+    student. ``weighting`` is FedCDC's :func:`entropy_weights` or FedDF's
     :func:`uniform_weights`. The teachers' targets form one table over the
     pool, built by one :func:`teacher_targets` call before the first epoch
     and gathered per batch.
@@ -155,11 +152,10 @@ def distill_train(
     if n == 0:
         raise ValueError("public distillation set is empty")
     target_index = student.active_index
-    contrib = contributor_masks(teachers, target_index)
-    p_pool = teacher_targets(teachers, contrib, public.features, weighting, target_index)
+    p_pool = teacher_targets(teachers, public, weighting, target_index)
     opt = init_adam(student.flat, lr=cfg.lr)
     for (idx,) in batch_schedule(n, cfg.epochs, cfg.batch_size, [rng]):
-        x = public.features[idx]
+        x = public[idx]
         logits, acts = forward_cached(student, x)
         dz = distill_loss_grad(softmax(logits, target_index), p_pool[idx], cfg.alpha)
         adam_step(opt, student.flat, backward(student, acts, dz))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, UnlabeledDataset
+from .data import LabeledDataset
 from .distill import DistillConfig, distill_train, uniform_weights
 from .errors import check_rules
 from .market import DataOwner
@@ -84,7 +84,7 @@ def local_train(
 
 def feddf_round(
     local_models: list[tuple[Mlp, int]],
-    public: UnlabeledDataset,
+    public: np.ndarray,
     cfg: FLRoundConfig,
     rng: np.random.Generator,
 ) -> Mlp:
@@ -99,7 +99,7 @@ def run_fl_round(
     owners: list[DataOwner],
     cfg: FLRoundConfig,
     rng: np.random.Generator,
-    public: UnlabeledDataset | None = None,
+    public: np.ndarray | None = None,
 ) -> Mlp:
     """One FL round from ``start``: broadcast, local training on every owner, aggregate.
 

@@ -61,12 +61,11 @@ class BiddingHistory:
     def __init__(self, k: int, n_consumers: int, n_owners: int) -> None:
         if k < 1:
             raise ValueError("history span must be >= 1")
-        self.k = k
         self.window = np.zeros((k, n_consumers, n_owners))
 
 
 def record_bids(history: BiddingHistory, round_index: int, bids: np.ndarray) -> BiddingHistory:
-    """Store ``bids`` in slot ``round_index mod k``; other slots untouched."""
+    """Store ``bids`` in slot ``round_index`` mod the span; other slots untouched."""
     b = np.asarray(bids, dtype=float)
     if b.shape != history.window.shape[1:]:
         raise ValueError(
@@ -74,7 +73,7 @@ def record_bids(history: BiddingHistory, round_index: int, bids: np.ndarray) -> 
         )
     if (b < 0).any():
         raise ValueError("bid matrix contains negative entries")
-    history.window[round_index % history.k] = b
+    history.window[round_index % len(history.window)] = b
     return history
 
 

@@ -124,9 +124,10 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
     A record without exactly two integer fields, a second problem line, a
     negative node count, a node id outside ``1..n``, a self-loop or a node
     weight below 1 is rejected with an error naming its line, and so is a
-    problem line whose ``m`` is not the number of ``e`` records. An ``e``
-    record that repeats an edge, in either orientation, is rejected naming
-    its line and the earlier one, so ``m`` also counts the distinct edges.
+    problem line whose ``m`` is not the number of ``e`` records. An ``n``
+    record that repeats a node, or an ``e`` record that repeats an edge in
+    either orientation, is rejected naming its line and the earlier one, so
+    ``m`` also counts the distinct edges.
     """
     n: int | None = None
     records: list[tuple[int, str, int, int]] = []
@@ -155,7 +156,7 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
         raise ValueError(f"{path}: missing 'p edge' line")
     weights = [1] * n
     adj = np.zeros((n, n), dtype=bool)
-    edge_lines: dict[tuple[int, int], int] = {}
+    first_lines: dict[tuple[int, ...], int] = {}  # (node,) or (low, high) -> its first line
     for lineno, kind, a, b in records:
         if not 1 <= a <= n or (kind == "e" and not 1 <= b <= n):
             raise ValueError(f"line {lineno}: node id outside 1..{n}")
@@ -163,12 +164,14 @@ def read_dimacs(path: str | Path) -> WeightedGraph:
             raise ValueError(f"line {lineno}: self-loop on node {a}")
         if kind == "n" and b < 1:
             raise ValueError(f"line {lineno}: node weight {b} below 1")
+        key = (a,) if kind == "n" else (min(a, b), max(a, b))
+        if (first := first_lines.setdefault(key, lineno)) != lineno:
+            name = f"node {a}" if kind == "n" else f"edge {a} {b}"
+            raise ValueError(f"line {lineno}: {name} repeats line {first}")
         if kind == "n":
             weights[a - 1] = b
-        elif (first := edge_lines.setdefault((min(a, b), max(a, b)), lineno)) != lineno:
-            raise ValueError(f"line {lineno}: edge {a} {b} repeats line {first}")
         else:
             adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
-    if (edges := len(edge_lines)) != m:
+    if (edges := sum(len(key) == 2 for key in first_lines)) != m:
         raise ValueError(f"line {p_lineno}: problem line declares {m} edges, the file has {edges}")
     return WeightedGraph(weights, adj)

@@ -73,19 +73,9 @@ class Mlp:
     @cached_property
     def active_index(self) -> np.ndarray:
         """Sorted active label ids as a read-only index array."""
-        return _frozen(np.array(sorted(self.active_labels), dtype=np.intp))
-
-    @cached_property
-    def active_mask(self) -> np.ndarray:
-        """Read-only boolean mask over the K outputs, True at active labels."""
-        mask = np.zeros(self.num_classes, dtype=bool)
-        mask[self.active_index] = True
-        return _frozen(mask)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        index = np.array(sorted(self.active_labels), dtype=np.intp)
+        index.flags.writeable = False
+        return index
 
 
 def _param_count(dims: list[int]) -> int:
@@ -305,11 +295,11 @@ def train_step(
     labels, steps every model at once and returns M losses.
     """
     y = np.asarray(labels)
-    if y.size and (y.min() < 0 or y.max() >= model.num_classes or not model.active_mask[y].all()):
+    pos = np.searchsorted(model.active_index, y)
+    if (model.active_index.take(pos, mode="clip") != y).any():
         outside = set(np.unique(y).tolist()) - model.active_labels
         raise ValueError(f"labels {sorted(outside)} outside the model's active set")
     logits, acts = forward_cached(model, batch)
-    p = softmax(logits, model.active_index)
-    loss, dz = cross_entropy(p, np.searchsorted(model.active_index, y))
+    loss, dz = cross_entropy(softmax(logits, model.active_index), pos)
     adam_step(opt, model.flat, backward(model, acts, dz))
     return loss

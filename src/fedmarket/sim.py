@@ -25,7 +25,6 @@ from .data import (
     BlobSpec,
     LabeledDataset,
     PartitionSizes,
-    UnlabeledDataset,
     build_market_partition,
     check_class_counts,
     gen_blobs,
@@ -267,7 +266,7 @@ class _Market:
             DataOwner(j, shard, frozenset(int(c) for c in np.unique(shard.labels)))
             for j, shard in enumerate(part.do_shards)
         ]
-        self.public: UnlabeledDataset = part.public
+        self.public: np.ndarray = part.public
         self.consumers: list[DataConsumer] = []
         self.test_shards: list[LabeledDataset] = []
         for i, labels in enumerate(part.dc_label_sets):
@@ -369,7 +368,8 @@ class _Market:
             cid = trainee.id
             recruited = [self.owners[o] for o in self.recruit.get(cid, [])]
             if not recruited:
-                log.warning("round %d: consumer %d recruited no owners (starved)", r, cid)
+                kind = "alliance" if isinstance(trainee, Alliance) else "consumer"
+                log.warning("round %d: %s %d recruited no owners (starved)", r, kind, cid)
             rng = np.random.default_rng([cfg.seed, _S_TRAINING, cid, r])
             trained = run_fl_round(
                 self.experts.get(cid, trainee.model), recruited, cfg.fl, rng, self.public

@@ -269,7 +269,7 @@ def teacher_table_per_chunk(teachers, x, weighting, target_index, rows):
 
     ``weighting`` is :func:`entropy_weights_kwide` or :func:`uniform_weights_kwide`.
     """
-    contrib = [t.active_mask[target_index] for t in teachers]
+    contrib = [np.array([c in t.active_labels for c in target_index]) for t in teachers]
     chunks = [x[i : i + rows] for i in range(0, len(x), rows)]
     return np.concatenate(
         [teacher_targets_kwide(teachers, contrib, c, weighting, target_index) for c in chunks]

@@ -16,7 +16,7 @@ import pytest
 
 from fedmarket.alliances import candidate_value, enumerate_candidates, offer_and_collect, select_alliances
 from fedmarket.cli import main as cli_main
-from fedmarket.data import UnlabeledDataset, gen_blobs
+from fedmarket.data import gen_blobs
 from fedmarket.distill import DistillConfig, distill_train, entropy_weights
 from fedmarket.fed import evaluate, fedavg_aggregate
 from fedmarket.maxclique import WeightedGraph, solve
@@ -255,7 +255,7 @@ def test_criterion_9_knowledge_transfer():
     full = gen_blobs(4, 16, 1500, 1.0, 31)
     train, rest = split_per_class(full, 500)
     val, pub_labeled = split_per_class(rest, 250)
-    public = UnlabeledDataset(pub_labeled.features)
+    public = pub_labeled.features
 
     teacher = init_mlp(16, [64, 32], 4, {0, 1, 2, 3}, np.random.default_rng(32))
     opt = init_adam(teacher.flat, lr=0.001)

@@ -177,7 +177,7 @@ def test_partition_shards_pairwise_disjoint():
     part = build_market_partition(spec, base, 0)
     seen = set()
     all_rows = [s.features for s in part.do_shards + part.dc_val_shards]
-    all_rows.append(part.public.features)
+    all_rows.append(part.public)
     for block in all_rows:
         for row in block:
             key = row.tobytes()
@@ -191,7 +191,7 @@ def test_partition_public_is_class_balanced():
     label_of = {base.features[i].tobytes(): int(base.labels[i]) for i in range(len(base))}
     part = build_market_partition(spec, base, 0)
     counts = np.zeros(10, dtype=int)
-    for row in part.public.features:
+    for row in part.public:
         counts[label_of[row.tobytes()]] += 1
     assert (counts == 5).all()
 
@@ -235,7 +235,7 @@ def test_per_class_demand_bounds_every_class_draw(
     labels = np.repeat(np.arange(k), need)
     base = LabeledDataset(np.arange(len(labels), dtype=float)[:, None], labels, k)
     part = build_market_partition(sizes, base, seed)
-    rows = [s.features for s in part.do_shards + part.dc_val_shards] + [part.public.features]
+    rows = [s.features for s in part.do_shards + part.dc_val_shards] + [part.public]
     drawn = np.bincount(labels[np.concatenate(rows)[:, 0].astype(int)], minlength=k)
     # each shared class gives every group-0 owner, validation and public shard
     # its rounded-up share or one less

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedmarket import distill
-from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs
+from fedmarket.data import LabeledDataset, gen_blobs
 from fedmarket.distill import (
     DistillConfig,
     combine_teachers,
@@ -135,6 +135,8 @@ def test_ensemble_orphan_class_rejected():
     a = init_mlp(2, [3], 3, {0, 1}, np.random.default_rng(0))
     with pytest.raises(ValueError, match="class 2"):
         contributor_masks([a], np.arange(3))
+    with pytest.raises(ValueError, match="no teacher covers class 2"):
+        teacher_targets([a], np.zeros((4, 2)), entropy_weights, np.arange(3))
 
 
 def test_ensemble_needs_teachers_that_share_a_label():
@@ -144,6 +146,11 @@ def test_ensemble_needs_teachers_that_share_a_label():
         contributor_masks([], np.arange(2))
     with pytest.raises(ValueError, match="shares no labels"):
         contributor_masks([a, b], np.arange(2))
+    # teacher_targets builds the same masks, so it rejects the same ensembles
+    with pytest.raises(ValueError, match="at least one teacher"):
+        teacher_targets([], np.zeros((4, 2)), entropy_weights, np.arange(2))
+    with pytest.raises(ValueError, match="shares no labels"):
+        teacher_targets([a, b], np.zeros((4, 2)), entropy_weights, np.arange(2))
 
 
 # ---------------------------------------------------------------- loss
@@ -218,7 +225,7 @@ def _blob_setup(seed=0):
     full = gen_blobs(4, 8, 1000, 1.0, seed)
     train, rest = split_per_class(full, 250)
     val, pub = split_per_class(rest, 150)
-    return train, val, UnlabeledDataset(pub.features)
+    return train, val, pub.features
 
 
 def _train_teacher(train, seed=1, steps=400):
@@ -284,7 +291,7 @@ ALPHA_HALF_DIGEST = "99a966f0e22c00ebccb7564ce509e0684299f9484035278ade4ddc7214f
 
 
 def test_distill_alpha_half_overlapping_teachers_digest():
-    pub = UnlabeledDataset(gen_blobs(5, 6, 120, 1.0, 40).features)  # 600 rows: short last batch
+    pub = gen_blobs(5, 6, 120, 1.0, 40).features  # 600 rows: short last batch
     teachers = [
         init_mlp(6, [8], 5, {0, 1, 2}, np.random.default_rng(41)),
         init_mlp(6, [8], 5, {1, 2, 3, 4}, np.random.default_rng(42)),
@@ -297,7 +304,7 @@ def test_distill_alpha_half_overlapping_teachers_digest():
 
 def _overlapping_setup(n_rows):
     """A pool of ``n_rows`` rows, two partly overlapping teachers and a student."""
-    pub = UnlabeledDataset(gen_blobs(5, 6, 200, 1.0, 60).features[:n_rows])
+    pub = gen_blobs(5, 6, 200, 1.0, 60).features[:n_rows]
     teachers = [
         init_mlp(6, [8], 5, {0, 1, 2}, np.random.default_rng(61)),
         init_mlp(6, [8], 5, {1, 2, 3, 4}, np.random.default_rng(62)),
@@ -321,7 +328,7 @@ def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
         return forward(model, x)
 
     def counted_table(*args):
-        table_calls.append(len(args[2]))
+        table_calls.append(len(args[1]))
         return teacher_targets(*args)
 
     monkeypatch.setattr(distill, "forward", counted)
@@ -337,14 +344,13 @@ def test_distill_builds_teacher_targets_once_per_call(monkeypatch, epochs):
 def _oracle_distill_train(student, teachers, weighting, public, alpha, epochs, batch_size, lr, rng):
     """Per-batch reference: recompute the teachers' targets for every batch of every epoch."""
     target_index = student.active_index
-    contrib = contributor_masks(teachers, target_index)
     opt = init_adam(student.flat, lr=lr)
     n = len(public)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            x = public.features[order[start : start + batch_size]]
-            p_t = teacher_targets(teachers, contrib, x, weighting, target_index)
+            x = public[order[start : start + batch_size]]
+            p_t = teacher_targets(teachers, x, weighting, target_index)
             logits, acts = forward_cached(student, x)
             dz = distill_loss_grad(softmax(logits, target_index), p_t, alpha)
             adam_step(opt, student.flat, backward(student, acts, dz))
@@ -375,9 +381,8 @@ def test_teacher_table_matches_per_chunk_build(weighting, weighting_kwide, n_row
     # Partial coverage, and a short last chunk (5 rows, 1 row).
     pub, teachers, student = _overlapping_setup(n_rows)
     target_index = student.active_index
-    contrib = contributor_masks(teachers, target_index)
-    table = teacher_targets(teachers, contrib, pub.features, weighting, target_index)
-    expected = teacher_table_per_chunk(teachers, pub.features, weighting_kwide, target_index, 32)
+    table = teacher_targets(teachers, pub, weighting, target_index)
+    expected = teacher_table_per_chunk(teachers, pub, weighting_kwide, target_index, 32)
     assert table.shape == (n_rows, target_index.size)
     assert np.array_equal(table, expected)
 
@@ -425,7 +430,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="lr"):
             DistillConfig(lr=lr)
     student = init_mlp(2, [], 3, {0, 1}, np.random.default_rng(0))
-    pub = UnlabeledDataset(np.zeros((4, 2)))
+    pub = np.zeros((4, 2))
     with pytest.raises(ValueError):
         distill_train(student, [], pub, DistillConfig(), np.random.default_rng(0))
 
@@ -488,7 +493,7 @@ def test_inactive_outputs_take_no_part():
     assert np.array_equal(_inactive_part(b), _inactive_part(noised))
 
     # Distillation from two partly overlapping teachers, theirs noised too.
-    pub = UnlabeledDataset(gen_blobs(10, 8, 20, 1.0, 74).features)
+    pub = gen_blobs(10, 8, 20, 1.0, 74).features
     teachers = [
         init_mlp(8, [12], 10, {0, 2, 5}, np.random.default_rng(75)),
         init_mlp(8, [12], 10, {3, 7, 9}, np.random.default_rng(76)),

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmarket import nn
-from fedmarket.data import LabeledDataset, UnlabeledDataset, gen_blobs
-from fedmarket.distill import contributor_masks, teacher_targets, uniform_weights
+from fedmarket.data import LabeledDataset, gen_blobs
+from fedmarket.distill import teacher_targets, uniform_weights
 from fedmarket.errors import ConfigError
 from fedmarket.fed import (
     FLRoundConfig,
@@ -234,14 +234,13 @@ def test_iid_split_matches_pooled_training():
 def feddf_loss(student, teachers, public, alpha):
     """Mean FedDF (uniform-ensemble) distillation loss over the public pool."""
     idx = student.active_index
-    contrib = contributor_masks(teachers, idx)
-    p_t = teacher_targets(teachers, contrib, public.features, uniform_weights, idx)
-    return float(distill_loss(forward(student, public.features)[:, idx], p_t, alpha).mean())
+    p_t = teacher_targets(teachers, public, uniform_weights, idx)
+    return float(distill_loss(forward(student, public)[:, idx], p_t, alpha).mean())
 
 
 def test_feddf_self_distillation_starts_at_zero_loss():
     ds = gen_blobs(3, 4, 60, 1.0, 10)
-    pub = UnlabeledDataset(ds.features)
+    pub = ds.features
     model = model_with(11)
     loss = feddf_loss(model, [clone_model(model)], pub, alpha=1.0)
     assert loss == pytest.approx(0.0, abs=1e-9)
@@ -249,7 +248,7 @@ def test_feddf_self_distillation_starts_at_zero_loss():
 
 def test_feddf_duplicate_teachers_match_single():
     ds = gen_blobs(3, 4, 60, 1.0, 12)
-    pub = UnlabeledDataset(ds.features)
+    pub = ds.features
     g = model_with(13)
     [local] = local_train(g, [ds], 1, 16, 0.001, [np.random.default_rng(14)])
     cfg = FLRoundConfig(local_epochs=1, distill_epochs=2, batch_size=16)
@@ -266,7 +265,7 @@ FEDDF_DIGEST = "f054af4519588ad251dd80aab9d1245d5caea744e757a83071c09e6140ca6c4b
 def test_feddf_distillation_reduces_loss():
     full = gen_blobs(3, 6, 200, 1.0, 16)
     train, pub_l = split_per_class(full, 150)
-    pub = UnlabeledDataset(pub_l.features)
+    pub = pub_l.features
     g = model_with(17, dims=(6, 8, 3))
     # one class per owner: the drifted locals' average differs from their ensemble
     owners = _split_owners(train, 3)
@@ -289,9 +288,9 @@ def test_feddf_rejects_no_models_and_an_empty_pool():
     cfg = FLRoundConfig(method="feddf")
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="nothing to aggregate"):
-        feddf_round([], UnlabeledDataset(ds.features), cfg, rng)
+        feddf_round([], ds.features, cfg, rng)
     with pytest.raises(ValueError, match="public distillation set is empty"):
-        feddf_round([(clone_model(g), 10)], UnlabeledDataset(ds.features[:0]), cfg, rng)
+        feddf_round([(clone_model(g), 10)], ds.features[:0], cfg, rng)
 
 
 def test_feddf_requires_public_set():

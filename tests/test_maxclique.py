@@ -165,6 +165,8 @@ def test_dimacs_malformed_rejected(tmp_path):
         # one edge named twice: read as is, it passed as 2 edges
         ("p edge 2 2\ne 1 2\ne 2 1\n", "line 3: edge 2 1 repeats line 2"),
         ("p edge 3 3\ne 1 2\nc\ne 2 3\ne 1 2\n", "line 5: edge 1 2 repeats line 2"),
+        # one node weighed twice: read as is, the last weight won
+        ("p edge 2 1\nn 1 5\nn 1 2\ne 1 2\n", "line 3: node 1 repeats line 2"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):

@@ -248,6 +248,9 @@ def test_train_step_rejects_labels_outside_active_set():
     for bad in (4, -1):  # outside [0, K) as well
         with pytest.raises(ValueError, match=rf"labels \[{bad}\]"):
             train_step(m, opt, np.zeros((2, 4)), np.array([bad, 1]))
+    gap = init_mlp(4, [6], 4, {0, 2}, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"labels \[1\]"):  # between two active labels
+        train_step(gap, init_adam(gap.flat), np.zeros((2, 4)), np.array([2, 1]))
     stack = replicate(m, 2)
     with pytest.raises(ValueError, match=r"labels \[2\]"):
         train_step(stack, init_adam(stack.flat), np.zeros((2, 3, 4)),

@@ -530,7 +530,7 @@ def test_only_alliance_participants_are_distilled(monkeypatch):
     assert distilled == [[], [], [0, 1], [0, 1], [0, 1], [0, 1]]
 
 
-def test_alliance_rows_bid_only_on_their_contested_owners(monkeypatch):
+def test_alliance_rows_bid_only_on_their_contested_owners(monkeypatch, caplog):
     # The round-2 alliance is cut to owners 0-2 of the six shared ones, so its
     # participants keep bidding on owners 3-5, and the round-4 pass forms a
     # second alliance of consumers 0 and 1 over those. Each alliance row bids
@@ -555,7 +555,8 @@ def test_alliance_rows_bid_only_on_their_contested_owners(monkeypatch):
 
     monkeypatch.setattr(sim, "create_alliances", first_on_three_owners)
     monkeypatch.setattr(sim, "match_first_price", capture)
-    trace = run_scenario(tiny_cfg("fedcdc", **TINY_RUNS["fedcdc-first_price"][1]))
+    with caplog.at_level(logging.WARNING):
+        trace = run_scenario(tiny_cfg("fedcdc", **TINY_RUNS["fedcdc-first_price"][1]))
     assert [
         (rec.created_round, rec.participants, rec.contested_owners, rec.synthetic_dc_id)
         for rec in trace.alliances
@@ -568,6 +569,9 @@ def test_alliance_rows_bid_only_on_their_contested_owners(monkeypatch):
     assert (matched[1][:3, :3] == 0).all() and (matched[1][:3, 3:6] == BID).all()
     assert (matched[2][:2, :6] == 0).all()
     assert (matched[2][2, :3] == 0).all() and (matched[2][2, 3:6] == BID).all()
+    # Row 4 is the second alliance's, which wins no owner in rounds 4 and 5.
+    starved = [rec.getMessage() for rec in caplog.records if "starved" in rec.getMessage()]
+    assert starved == [f"round {r}: alliance 4 recruited no owners (starved)" for r in (4, 5)]
 
 
 # ---------------------------------------------------------------- metrics files
